@@ -40,18 +40,23 @@ class ReducedBasisPair:
         return self.phi.shape[1]
 
 
+def _gram(factors, sigma):
+    """(1/N) sum_i X_i X_i^T with X_i = F_i S_i, one GEMM per sample."""
+    G = np.zeros((factors.shape[1],) * 2)
+    for F, s in zip(factors, sigma):
+        X = F * s
+        G += X @ X.T
+    return G / len(factors)
+
+
 def input_gram(ds):
     """Monte Carlo estimate (1/N) sum_i V_i S_i^2 V_i^T of E[J^T J]."""
-    return np.einsum(
-        "nmr,nr,nkr->mk", ds.jac_v, ds.jac_sigma**2, ds.jac_v
-    ) / ds.n_samples
+    return _gram(ds.jac_v, ds.jac_sigma)
 
 
 def output_gram(ds):
     """Monte Carlo estimate (1/N) sum_i U_i S_i^2 U_i^T of E[J J^T]."""
-    return np.einsum(
-        "nqr,nr,nkr->qk", ds.jac_u, ds.jac_sigma**2, ds.jac_u
-    ) / ds.n_samples
+    return _gram(ds.jac_u, ds.jac_sigma)
 
 
 def active_subspace(ds, rank_in):

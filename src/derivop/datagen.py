@@ -1,5 +1,9 @@
 """Training-data generation: sample parameters, solve states, compress
-Jacobians with randomized SVD, and persist/load the resulting datasets.
+Jacobians, and persist/load the resulting datasets.
+
+With the default rank d_Q the sketch covers the whole map, so
+``randomized_svd`` forms it exactly from d_Q adjoint actions in one block
+solve; for smaller ranks the randomized range finder compresses it.
 
 Per-sample seeds derive from the run seed via a splitmix64 mix of the
 sample index, so generation is order-independent and reproducible.
@@ -129,7 +133,7 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
 
     ``rank`` defaults to d_Q.  ``model`` is an RDModel (with a PriorConfig)
     or a ToyMap (prior_cfg None draws standard-normal parameters).  The
-    returned dataset records instrumented solve counters in its metadata.
+    metadata counts the Jacobian-action columns (linearized solves) per sample.
     """
     if rank is None:
         rank = model.d_q

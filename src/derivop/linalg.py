@@ -12,9 +12,9 @@ import numpy as np
 class LinearOperator:
     """Matrix-free linear map with an explicit transpose action.
 
-    ``apply`` maps an ncols-vector to an nrows-vector, ``apply_transpose``
-    the reverse.  The two must be adjoint-consistent:
-    <apply(v), w> == <v, apply_transpose(w)>.
+    ``apply`` maps an ncols-vector, or an (ncols, k) block of them, to an
+    nrows-vector or (nrows, k) block; ``apply_transpose`` the reverse.  The
+    two must be adjoint-consistent: <apply(v), w> == <v, apply_transpose(w)>.
     """
 
     nrows: int
@@ -23,16 +23,13 @@ class LinearOperator:
     apply_transpose: Callable[[np.ndarray], np.ndarray]
 
     def apply_mat(self, X):
-        """Apply to each column of X, returning an nrows x X.shape[1] array."""
-        return np.column_stack([self.apply(X[:, j]) for j in range(X.shape[1])])
+        return self.apply(X)
 
     def apply_transpose_mat(self, X):
-        return np.column_stack(
-            [self.apply_transpose(X[:, j]) for j in range(X.shape[1])]
-        )
+        return self.apply_transpose(X)
 
     def as_dense(self):
-        return self.apply_mat(np.eye(self.ncols))
+        return self.apply(np.eye(self.ncols))
 
 
 def dense_operator(A):
@@ -46,9 +43,13 @@ def dense_operator(A):
     )
 
 
+def _columns(x):
+    return x.shape[1] if np.ndim(x) == 2 else 1
+
+
 @dataclass
 class CountingOperator:
-    """LinearOperator wrapper that counts apply / apply_transpose calls."""
+    """LinearOperator wrapper counting the columns each action is given."""
 
     op: LinearOperator
     n_apply: int = 0
@@ -63,15 +64,12 @@ class CountingOperator:
         return self.op.ncols
 
     def apply(self, v):
-        self.n_apply += 1
+        self.n_apply += _columns(v)
         return self.op.apply(v)
 
     def apply_transpose(self, w):
-        self.n_apply_transpose += 1
+        self.n_apply_transpose += _columns(w)
         return self.op.apply_transpose(w)
-
-    apply_mat = LinearOperator.apply_mat
-    apply_transpose_mat = LinearOperator.apply_transpose_mat
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,10 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
 
     Draws ``rank + oversample`` Gaussian probes, optionally runs
     ``power_iters`` rounds of subspace iteration, and truncates the small
-    SVD back to ``rank``.
+    SVD back to ``rank``.  When ``rank + oversample`` equals the smaller
+    dimension the probes would span the whole map, so the map is formed
+    exactly by one block action on that identity and densely decomposed;
+    ``seed`` and ``power_iters`` are then unused.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -147,17 +148,22 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
             f"rank + oversample = {ell} exceeds min(shape) = "
             f"{min(op.nrows, op.ncols)}"
         )
-    rng = np.random.default_rng(seed)
-    Omega = rng.standard_normal((op.ncols, ell))
-    Q = _orthonormalize(op.apply_mat(Omega))
-    for _ in range(power_iters):
-        Z = _orthonormalize(op.apply_transpose_mat(Q))
-        Q = _orthonormalize(op.apply_mat(Z))
-    # B = Q^T A, formed row-wise through the transpose action.
-    B = op.apply_transpose_mat(Q).T
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub[:, :rank]
-    U, V = fix_signs(U, Vt[:rank].T)
+    if ell == op.nrows <= op.ncols:
+        U, s, Vt = np.linalg.svd(op.apply_transpose(np.eye(ell)).T,
+                                 full_matrices=False)
+    elif ell == op.ncols:
+        U, s, Vt = np.linalg.svd(op.apply(np.eye(ell)), full_matrices=False)
+    else:
+        rng = np.random.default_rng(seed)
+        Omega = rng.standard_normal((op.ncols, ell))
+        Q = _orthonormalize(op.apply(Omega))
+        for _ in range(power_iters):
+            Z = _orthonormalize(op.apply_transpose(Q))
+            Q = _orthonormalize(op.apply(Z))
+        # B = Q^T A, formed row-wise through the transpose action.
+        Ub, s, Vt = np.linalg.svd(op.apply_transpose(Q).T, full_matrices=False)
+        U = Q @ Ub[:, :rank]
+    U, V = fix_signs(U[:, :rank], Vt[:rank].T)
     return TruncatedJacobian(U=U, sigma=s[:rank].copy(), V=V)
 
 

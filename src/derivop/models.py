@@ -69,37 +69,69 @@ class PriorConfig:
             raise ValueError("delta must be > 0 and gamma >= 0")
 
 
-def _neighbors(grid, i, j):
-    if i > 0:
-        yield i - 1, j
-    if i < grid.n - 1:
-        yield i + 1, j
-    if j > 0:
-        yield i, j - 1
-    if j < grid.n - 1:
-        yield i, j + 1
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """Edges of the 5-point stencil and the CSC pattern of the Jacobians.
+
+    Edges (p, q) are slot-major (every node's first neighbour, then its
+    second, ... in the order (i-1, j), (i+1, j), (i, j-1), (i, j+1)), so an
+    unbuffered scatter-add sums each row in that order.  dR/du and dR/dm
+    share one pattern: the edges of the non-Dirichlet rows, then the
+    diagonal; ``order`` sorts these entries into CSC storage order.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    fixed: np.ndarray
+    ip: np.ndarray  # (ip, iq): the edges of the non-Dirichlet rows
+    iq: np.ndarray
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def assemble(self, off, diag):
+        """CSC matrix with ``off`` on the interior edges and ``diag``."""
+        d = len(diag)
+        data = np.concatenate([off, diag])[self.order]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(d, d))
+
+
+@lru_cache(maxsize=8)
+def _stencil(grid):
+    n, d = grid.n, grid.num_nodes
+    i, j = np.divmod(np.arange(d), n)
+    valid = np.stack([i > 0, i < n - 1, j > 0, j < n - 1])
+    nbr = np.arange(d) + np.array([[-n], [n], [-1], [1]])
+    # Move each node's valid neighbours to the front, keeping their order:
+    # row k of the (4, d) arrays then holds every node's k-th neighbour.
+    lead = np.argsort(~valid, axis=0, kind="stable")
+    valid = np.take_along_axis(valid, lead, axis=0)
+    p, q = np.nonzero(valid)[1], np.take_along_axis(nbr, lead, axis=0)[valid]
+    fixed = (i == 0) | (i == n - 1)
+    ip, iq = p[~fixed[p]], q[~fixed[p]]
+    rows = np.concatenate([ip, np.arange(d)])
+    cols = np.concatenate([iq, np.arange(d)])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=d))])
+    st = _Stencil(p=p, q=q, fixed=fixed, ip=ip, iq=iq, order=order,
+                  indices=rows[order].astype(np.int32),
+                  indptr=indptr.astype(np.int32))
+    for a in vars(st).values():
+        a.setflags(write=False)  # shared by every matrix built on this grid
+    return st
 
 
 @lru_cache(maxsize=8)
 def prior_operator(cfg):
     """Sparse A = delta*I - gamma*Lap_h with the zero-flux boundary closure."""
-    grid = cfg.grid
-    h2 = grid.h**2
-    rows, cols, vals = [], [], []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            p = grid.node(i, j)
-            diag = cfg.delta
-            for ii, jj in _neighbors(grid, i, j):
-                q = grid.node(ii, jj)
-                diag += cfg.gamma / h2
-                rows.append(p)
-                cols.append(q)
-                vals.append(-cfg.gamma / h2)
-            rows.append(p)
-            cols.append(p)
-            vals.append(diag)
-    d = grid.num_nodes
+    st = _stencil(cfg.grid)
+    d = cfg.grid.num_nodes
+    c = cfg.gamma / cfg.grid.h**2
+    diag = np.full(d, cfg.delta)
+    np.add.at(diag, st.p, c)
+    rows = np.concatenate([st.p, np.arange(d)])
+    cols = np.concatenate([st.q, np.arange(d)])
+    vals = np.concatenate([np.full(len(st.p), -c), diag])
     return sp.csc_matrix((vals, (rows, cols)), shape=(d, d))
 
 
@@ -201,21 +233,11 @@ class RDModel:
         }
 
 
-def _node_kind(grid):
-    """Masks for the Dirichlet rows: bottom edge (u=0) and top edge (u=1)."""
-    n = grid.n
-    bottom = np.zeros(grid.num_nodes, dtype=bool)
-    top = np.zeros(grid.num_nodes, dtype=bool)
-    bottom[:n] = True
-    top[-n:] = True
-    return bottom, top
-
-
 def dirichlet_values(model):
-    bottom, top = _node_kind(model.grid)
+    """Data g (u = 1 on the top edge) and the mask of the Dirichlet rows."""
     g = np.zeros(model.d_u)
-    g[top] = 1.0
-    return g, bottom | top
+    g[-model.grid.n:] = 1.0
+    return g, _stencil(model.grid).fixed
 
 
 def residual(model, u, m):
@@ -245,57 +267,23 @@ def residual(model, u, m):
 
 def state_jacobian(model, u, m):
     """Sparse dR/du at (u, m)."""
-    grid = model.grid
-    h2 = grid.h**2
+    st = _stencil(model.grid)
+    p, q = st.ip, st.iq
     k = np.exp(m)
-    g, fixed = dirichlet_values(model)
-    rows, cols, vals = [], [], []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            p = grid.node(i, j)
-            if fixed[p]:
-                rows.append(p)
-                cols.append(p)
-                vals.append(1.0)
-                continue
-            diag = 3.0 * model.c_nl * u[p] ** 2
-            for ii, jj in _neighbors(grid, i, j):
-                q = grid.node(ii, jj)
-                kf = 0.5 * (k[p] + k[q])
-                diag += kf / h2
-                rows.append(p)
-                cols.append(q)
-                vals.append(-kf / h2)
-            rows.append(p)
-            cols.append(p)
-            vals.append(diag)
-    d = grid.num_nodes
-    return sp.csc_matrix((vals, (rows, cols)), shape=(d, d))
+    w = 0.5 * (k[p] + k[q]) / model.grid.h**2
+    diag = np.where(st.fixed, 1.0, 3.0 * model.c_nl * u**2)
+    np.add.at(diag, p, w)
+    return st.assemble(-w, diag)
 
 
 def parameter_jacobian(model, u, m):
     """Sparse dR/dm at (u, m); Dirichlet rows are zero."""
-    grid = model.grid
-    h2 = grid.h**2
+    st = _stencil(model.grid)
+    p, q = st.ip, st.iq
     k = np.exp(m)
-    _, fixed = dirichlet_values(model)
-    rows, cols, vals = [], [], []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            p = grid.node(i, j)
-            if fixed[p]:
-                continue
-            for ii, jj in _neighbors(grid, i, j):
-                q = grid.node(ii, jj)
-                du = (u[p] - u[q]) / h2
-                rows.append(p)
-                cols.append(p)
-                vals.append(0.5 * k[p] * du)
-                rows.append(p)
-                cols.append(q)
-                vals.append(0.5 * k[q] * du)
-    d = grid.num_nodes
-    return sp.csc_matrix((vals, (rows, cols)), shape=(d, d))
+    du = (u[p] - u[q]) / model.grid.h**2
+    diag = np.bincount(p, weights=0.5 * k[p] * du, minlength=model.d_m)
+    return st.assemble(0.5 * k[q] * du, diag)
 
 
 def solve_state(model, m, u0=None):
@@ -353,7 +341,8 @@ def jacobian_operator(model, m, u):
     """Matrix-free dq/dm at a converged state, reusing one factorization.
 
     Realizes -B [dR/du]^{-1} dR/dm with B the observation selector; the
-    sparse LU of dR/du serves both the forward and the transpose action.
+    sparse LU of dR/du serves both the forward and the transpose action,
+    each of which takes a vector or a block of columns in one solve.
     """
     m = np.asarray(m, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -365,7 +354,7 @@ def jacobian_operator(model, m, u):
         return -lu.solve(dRdm @ v)[obs]
 
     def apply_transpose(w):
-        rhs = np.zeros(model.d_u)
+        rhs = np.zeros((model.d_u, *np.shape(w)[1:]))
         # accumulate: coarse grids may map several sensors to one node
         np.add.at(rhs, obs, w)
         return -(dRdm.T @ lu.solve(rhs, trans="T"))

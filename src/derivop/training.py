@@ -2,7 +2,6 @@
 index sampler, a bias-corrected Adam optimizer, and the epoch/batch loop.
 """
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,15 +126,14 @@ class TrainHistory:
     """Per-epoch training record."""
 
     train_loss: list = field(default_factory=list)
-    holdout_loss: list = field(default_factory=list)
-    wall_time: list = field(default_factory=list)
+    holdout_loss: list = field(default_factory=list)  # None without holdout
     seed: int = 0
 
     def records(self):
         return [
-            {"epoch": e, "train_loss": tl, "holdout_loss": hl, "wall_time": wt}
-            for e, (tl, hl, wt) in enumerate(
-                zip(self.train_loss, self.holdout_loss, self.wall_time))
+            {"epoch": e, "train_loss": tl, "holdout_loss": hl}
+            for e, (tl, hl) in enumerate(
+                zip(self.train_loss, self.holdout_loss))
         ]
 
 
@@ -209,7 +207,6 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
         if arrays.get("jac_sigma") is not None else None
 
     for epoch in range(epochs):
-        t0 = time.perf_counter()
         order = rng.permutation(n)
         ms_idx = None
         if cfg.variant == "h1_truncated_ms" and cfg.ms_redraw == "epoch":
@@ -232,8 +229,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
         history.train_loss.append(epoch_loss / n)
         history.holdout_loss.append(
             dataset_loss(model, holdout, cfg) if holdout is not None
-            else float("nan"))
-        history.wall_time.append(time.perf_counter() - t0)
+            else None)
         if checkpoint_dir is not None and checkpoint_every \
                 and (epoch + 1) % checkpoint_every == 0:
             save_checkpoint(model, state, history,
@@ -257,4 +253,4 @@ def write_history(history, path):
 
     with open(path, "w", encoding="utf-8") as f:
         for rec in history.records():
-            f.write(json.dumps(rec) + "\n")
+            f.write(json.dumps(rec, allow_nan=False) + "\n")

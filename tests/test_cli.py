@@ -88,6 +88,23 @@ class TestTrain:
             outs.append((out / "model" / "weights.bin").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_history_rerun_byte_identical_strict_json(self, pipeline,
+                                                      tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        histories = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["train", "--data", str(pipeline / "data"), "--arch",
+                         "generic", "--loss", "h1full", "--epochs", "2",
+                         "--seed", "3", "--out", str(out)]) == 0
+            histories.append((out / "history.jsonl").read_bytes())
+        assert histories[0] == histories[1]
+        records = [json.loads(line, parse_constant=reject)
+                   for line in histories[0].decode().splitlines()]
+        assert [r["holdout_loss"] for r in records] == [None, None]
+
     def test_ms_k_exceeding_rank_fails(self, pipeline, tmp_path):
         assert main(["train", "--data", str(pipeline / "data"), "--arch",
                      "generic", "--loss", "h1truncms", "--k", "8",

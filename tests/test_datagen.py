@@ -15,7 +15,15 @@ from derivop.datagen import (
     save_dataset,
 )
 from derivop.io import LoadError
-from derivop.models import Grid, PriorConfig, RDModel, ToyMap, toy_map
+from derivop.models import (
+    Grid,
+    PriorConfig,
+    RDModel,
+    ToyMap,
+    jacobian_operator,
+    solve_state,
+    toy_map,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +77,25 @@ class TestGenerate:
         for i in range(rd_ds.n_samples):
             rd_ds.jacobian(i).validate()
 
+    @staticmethod
+    def _assert_bitwise_equal(a, b):
+        for name in ("m", "q", "jac_u", "jac_sigma", "jac_v"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_deterministic_across_thread_counts(self):
         tm = ToyMap.default()
         one = generate_dataset(tm, None, 10, rank=4, seed=5, threads=1)
         four = generate_dataset(tm, None, 10, rank=4, seed=5, threads=4)
-        np.testing.assert_array_equal(one.m, four.m)
-        np.testing.assert_array_equal(one.q, four.q)
-        np.testing.assert_array_equal(one.jac_u, four.jac_u)
-        np.testing.assert_array_equal(one.jac_sigma, four.jac_sigma)
-        np.testing.assert_array_equal(one.jac_v, four.jac_v)
+        self._assert_bitwise_equal(one, four)
+
+    @pytest.mark.parametrize("rank", [10, 25], ids=["sketched", "exact"])
+    def test_rd_deterministic_across_thread_counts(self, rank):
+        grid = Grid(9)
+        model = RDModel(grid=grid)
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        one = generate_dataset(model, prior, 6, rank=rank, seed=5, threads=1)
+        two = generate_dataset(model, prior, 6, rank=rank, seed=5, threads=2)
+        self._assert_bitwise_equal(one, two)
 
     def test_offline_solve_count_formula(self, rd_ds):
         # rank + oversample probes, each touched twice per power round
@@ -86,6 +104,21 @@ class TestGenerate:
         expected = (r + over) * (2 * p + 2)
         counts = rd_ds.meta["linearized_solves_per_sample"]
         assert counts == [expected] * rd_ds.n_samples
+
+    def test_full_rank_is_exact_from_adjoint_solves(self):
+        grid = Grid(9)
+        model = RDModel(grid=grid)
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        ds = generate_dataset(model, prior, 3, seed=4)  # rank defaults to d_Q
+        assert ds.meta["linearized_solves_per_sample"] == [model.d_q] * 3
+        for i in range(ds.n_samples):
+            op = jacobian_operator(model, ds.m[i], solve_state(model, ds.m[i]))
+            J = op.as_dense()
+            s = np.linalg.svd(J, compute_uv=False)
+            np.testing.assert_allclose(ds.jac_sigma[i], s, rtol=0,
+                                       atol=1e-12 * s[0])
+            rebuilt = ds.jacobian(i).as_dense()
+            assert np.linalg.norm(rebuilt - J) <= 1e-12 * np.linalg.norm(J)
 
     def test_rank_validation(self):
         tm = ToyMap.default()

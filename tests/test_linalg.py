@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivop.linalg import (
+    CountingOperator,
     LinearOperator,
     TruncatedJacobian,
     dense_operator,
@@ -45,6 +46,13 @@ class TestLinearOperator:
         A = rng.standard_normal((4, 7))
         np.testing.assert_allclose(dense_operator(A).as_dense(), A)
 
+    def test_counting_operator_counts_columns(self):
+        op = CountingOperator(dense_operator(np.ones((3, 5))))
+        op.apply(np.ones(5))
+        op.apply(np.ones((5, 4)))
+        op.apply_transpose(np.ones((3, 2)))
+        assert (op.n_apply, op.n_apply_transpose) == (5, 2)
+
 
 class TestRandomizedSVD:
     def test_diagonal_matrix(self):
@@ -63,6 +71,18 @@ class TestRandomizedSVD:
                              power_iters=1, seed=11)
         err = np.linalg.norm(jac.as_dense() - A) / np.linalg.norm(A)
         assert err <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (7, 7)])
+    def test_covering_sketch_is_exact(self, shape):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal(shape)
+        op = CountingOperator(dense_operator(A))
+        jac = randomized_svd(op, rank=4, oversample=min(shape) - 4, seed=1)
+        assert op.n_apply + op.n_apply_transpose == min(shape)
+        np.testing.assert_allclose(jac.sigma,
+                                   np.linalg.svd(A, compute_uv=False)[:4],
+                                   rtol=1e-13)
+        jac.validate()
 
     def test_zero_operator(self):
         jac = randomized_svd(dense_operator(np.zeros((10, 10))), rank=3,

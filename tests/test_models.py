@@ -13,6 +13,7 @@ from derivop.models import (
     jacobian_operator,
     lower_half_observation_nodes,
     observe,
+    parameter_jacobian,
     prior_operator,
     residual,
     sample_prior,
@@ -173,6 +174,78 @@ class TestObserve:
             RDModel(grid=grid9, obs_nodes=np.array([0]))
 
 
+def loop_assembly(model, u, m, prior):
+    """Reference per-node loops for dense dR/du, dR/dm and the prior operator.
+
+    Each row sums its diagonal from the first term over the neighbours in
+    the order (i-1, j), (i+1, j), (i, j-1), (i, j+1); the vectorized
+    assembly must reproduce these sums bitwise.
+    """
+    n, h2, d = model.grid.n, model.grid.h**2, model.d_u
+    k = np.exp(m)
+    dRdu, dRdm, A = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    for p in range(d):
+        i, j = divmod(p, n)
+        nbrs = [a * n + b for a, b in ((i - 1, j), (i + 1, j), (i, j - 1),
+                                       (i, j + 1)) if 0 <= a < n and 0 <= b < n]
+        A[p, p] = prior.delta
+        for q in nbrs:
+            A[p, p] += prior.gamma / h2
+            A[p, q] = -prior.gamma / h2
+        if i in (0, n - 1):
+            dRdu[p, p] = 1.0
+            continue
+        dRdu[p, p] = 3.0 * model.c_nl * u[p] ** 2
+        terms = []
+        for q in nbrs:
+            kf = 0.5 * (k[p] + k[q])
+            dRdu[p, p] += kf / h2
+            dRdu[p, q] = -kf / h2
+            du = (u[p] - u[q]) / h2
+            terms.append(0.5 * k[p] * du)
+            dRdm[p, q] = 0.5 * k[q] * du
+        dRdm[p, p] = terms[0]
+        for t in terms[1:]:
+            dRdm[p, p] += t
+    return dRdu, dRdm, A
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_matches_loop_reference_bitwise(self, n):
+        grid = Grid(n)
+        model = RDModel(grid=grid, c_nl=1.5, obs_nodes=[grid.node(1, 1)])
+        prior = PriorConfig(delta=1.3, gamma=0.37, grid=grid)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            u, m = rng.standard_normal((2, model.d_u))
+            dRdu, dRdm, A = loop_assembly(model, u, m, prior)
+            np.testing.assert_array_equal(
+                state_jacobian(model, u, m).toarray(), dRdu)
+            np.testing.assert_array_equal(
+                parameter_jacobian(model, u, m).toarray(), dRdm)
+        np.testing.assert_array_equal(prior_operator(prior).toarray(), A)
+
+    @pytest.mark.parametrize("which", ["u", "m"])
+    def test_jacobians_match_residual_differences(self, model9, prior9,
+                                                  which):
+        rng = np.random.default_rng(13)
+        m = sample_prior(prior9, rng)
+        u = solve_state(model9, m) + 0.1 * rng.standard_normal(model9.d_u)
+        jac, x = ((state_jacobian, u) if which == "u"
+                  else (parameter_jacobian, m))
+        J = jac(model9, u, m).toarray()
+        eps = 1e-6
+
+        def res(y):
+            return residual(model9, *((y, m) if which == "u" else (u, y)))
+
+        for c, e in enumerate(np.eye(len(x))):
+            fd = (res(x + eps * e) - res(x - eps * e)) / (2 * eps)
+            np.testing.assert_allclose(J[:, c], fd, rtol=0,
+                                       atol=1e-7 * max(1.0, np.abs(fd).max()))
+
+
 @pytest.fixture(scope="module", params=[0.0, 1.0], ids=["linear", "cubic"])
 def setup(request, grid9, prior9):
     model = RDModel(grid=grid9, c_nl=request.param)
@@ -210,6 +283,15 @@ class TestJacobianOperator:
             lhs = w @ op.apply(v)
             rhs = v @ op.apply_transpose(w)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    def test_block_actions_match_columns(self, setup):
+        model, _, _, op = setup
+        rng = np.random.default_rng(12)
+        for act, n in ((op.apply, model.d_m), (op.apply_transpose, model.d_q)):
+            X = rng.standard_normal((n, 5))
+            by_cols = np.column_stack([act(x) for x in X.T])
+            np.testing.assert_allclose(act(X), by_cols, rtol=1e-12,
+                                       atol=1e-14)
 
     def test_double_assembly_agrees(self, setup):
         model, _, _, op = setup
