@@ -214,6 +214,19 @@ def load_dataset(dirpath):
     return ds
 
 
+def project_factors(ds, bases):
+    """Phi^T U_i and Psi^T V_i for every sample, by batched matmul."""
+    psi, phi = bases.psi, bases.phi
+    if psi.shape[0] != ds.d_m or phi.shape[0] != ds.d_q:
+        raise ValueError(
+            f"basis dims ({psi.shape[0]}, {phi.shape[0]}) incompatible with "
+            f"dataset dims ({ds.d_m}, {ds.d_q})")
+    # V_i^T Psi with a C-ordered Psi is the fastest BLAS orientation for
+    # either layout of the stored V_i; return its transpose.
+    right = np.matmul(ds.jac_v.transpose(0, 2, 1), np.ascontiguousarray(psi))
+    return np.matmul(phi.T, ds.jac_u), right.transpose(0, 2, 1)
+
+
 def reduce_dataset(ds, bases):
     """Project a dataset onto a reduced basis pair.
 
@@ -221,14 +234,8 @@ def reduce_dataset(ds, bases):
     d_Q x d_M matrix is ever formed.  Exact when the stored rank captures
     the full reduced SVD (the r = d_Q default).
     """
-    psi, phi, b = bases.psi, bases.phi, bases.b
-    if psi.shape[0] != ds.d_m or phi.shape[0] != ds.d_q:
-        raise ValueError(
-            f"basis dims ({psi.shape[0]}, {phi.shape[0]}) incompatible with "
-            f"dataset dims ({ds.d_m}, {ds.d_q})")
-    m_r = ds.m @ psi
-    q_hat = (ds.q - b) @ phi
-    left = np.einsum("qk,nqr->nkr", phi, ds.jac_u)  # Phi^T U_i
-    right = np.einsum("nmr,mj->nrj", ds.jac_v, psi)  # V_i^T Psi
-    jac_r = np.einsum("nkr,nr,nrj->nkj", left, ds.jac_sigma, right)
+    left, right = project_factors(ds, bases)
+    m_r = ds.m @ bases.psi
+    q_hat = (ds.q - bases.b) @ bases.phi
+    jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
     return ReducedDataset(m_r=m_r, q_hat=q_hat, jac_r=jac_r, bases=bases)

@@ -1,12 +1,24 @@
 """Feed-forward neural operator with exact parametric Jacobians and
-hand-derived weight gradients of Jacobian-penalty losses (double
-backpropagation over a forward-built tape; no autodiff framework).
+hand-derived weight gradients of Jacobian-penalty losses (no autodiff
+framework).
 
 Two wrappings of the same latent MLP:
 
 * generic   - the raw MLP maps d_M -> d_Q;
 * reduced_basis - f(m) = Phi phi(Psi^T m) + b with frozen orthonormal
   bases, whose native Jacobian lives in the latent r_Q x r_M space.
+
+Every Jacobian comes off one batched tangent tape.  The columns of a right
+factor B_i (or of the identity) ride through the network next to the
+columns of every other sample: T_0 = B_i and T_l = d1_l * (W_l T_{l-1}),
+stored (n_l, n, cols), so block i of T_L is J(m_i) B_i and each layer
+costs one 2-D GEMM, W_l times the stacked (n_{l-1}, n * cols) array (BLAS
+runs this orientation faster than the transposed one).  The penalty
+||C_i - A_i^T J_i B_i||^2 reads A^T J B off the tape.  Its weight gradient
+(double backpropagation) is a sweep back down the tape seeded with
+A_i Ebar_i; it accumulates each dW_l as one GEMM over the stacked columns
+and runs in the same loop as the value-loss backward pass, into which it
+feeds its second-derivative seeds.
 """
 
 from dataclasses import dataclass, replace
@@ -25,8 +37,9 @@ def _softplus(x):
 
 
 _ACTIVATIONS = {
-    # value, first derivative, second derivative
-    "softplus": (_softplus, expit, lambda x: expit(x) * (1.0 - expit(x))),
+    # value, first derivative, and the ratio d2/d1 of second to first
+    # derivative (finite everywhere, so the tape need not keep W_l T_{l-1})
+    "softplus": (_softplus, expit, lambda x: expit(-x)),
     "linear": (lambda x: x,
                lambda x: np.ones_like(x),
                lambda x: np.zeros_like(x)),
@@ -164,17 +177,18 @@ class OperatorModel:
 
 
 def _mlp_forward(weights, X):
-    """Forward pass with tape: returns (zs, d1s, d2s) lists over layers."""
+    """Forward pass with tape: returns (zs, d1s, ratios) lists over layers,
+    ``ratios`` holding d2/d1 of each activation."""
     spec = weights.spec
     zs = [X]
-    d1s, d2s = [], []
+    d1s, ratios = [], []
     for (W, b), act_name in zip(weights.layers(), spec.activations):
-        act, d1, d2 = _ACTIVATIONS[act_name]
+        act, d1, ratio = _ACTIVATIONS[act_name]
         A = zs[-1] @ W.T + b
         zs.append(act(A))
         d1s.append(d1(A))
-        d2s.append(d2(A))
-    return zs, d1s, d2s
+        ratios.append(ratio(A))
+    return zs, d1s, ratios
 
 
 def latent_forward(model, X):
@@ -198,33 +212,7 @@ def forward(model, m):
     return out[0] if single else out
 
 
-def _chain_jacobian(layers, d1_rows):
-    """Native Jacobian D_L W_L ... D_1 W_1 for one tape sample."""
-    J = None
-    for (W, _), d1 in zip(layers, d1_rows):
-        J = W.copy() if J is None else W @ J
-        J *= d1[:, None]
-    return J
-
-
-def parametric_jacobian(model, m):
-    """Exact Jacobian of the model at m: latent r_Q x r_M for reduced-basis
-    models, d_Q x d_M for generic ones."""
-    m = np.asarray(m, dtype=float)
-    x = m @ model.bases.psi if model.kind == "reduced_basis" else m
-    _, d1s, _ = _mlp_forward(model.weights, x[None, :])
-    return _chain_jacobian(model.weights.layers(), [d[0] for d in d1s])
-
-
-def full_space_jacobian(model, m):
-    """d_Q x d_M Jacobian; materializes Phi J Psi^T for reduced models."""
-    J = parametric_jacobian(model, m)
-    if model.kind == "reduced_basis":
-        return model.bases.phi @ J @ model.bases.psi.T
-    return J
-
-
-# --- Jacobian-penalty flop accounting ----------------------------------------
+# --- tangent tape --------------------------------------------------------------
 
 class FlopCounter:
     """Multiply-count for the Jacobian-penalty evaluation path."""
@@ -239,90 +227,55 @@ class FlopCounter:
 PENALTY_FLOPS = FlopCounter()
 
 
-def _mm(A, B):
-    PENALTY_FLOPS.count += A.shape[0] * A.shape[1] * B.shape[1]
-    return A @ B
+def _tangent_tape(layers, d1s, T, flops):
+    """Push tangent columns through the net, stacked over the batch.
 
-
-def _penalty_value(layers, d1_rows, A, B, C, wgt=None):
-    """||C - A^T J B||_F^2 (weighted if ``wgt``), J the native Jacobian.
-
-    Evaluated in factored order: B is propagated up through the first half
-    of the chain and A^T down through the second half, so the flop count
-    scales with the projection ranks rather than with d_Q * d_M.
+    ``T`` is T_0 laid out (n_0, n, cols), or None for the identity
+    (cols = n_0).  Yields T_l = d1_l * (W_l T_{l-1}) for l = 1..L, each
+    (n_l, n, cols) and each one GEMM on the stacked (n_{l-1}, n * cols)
+    array.  Multiplies are added to the FlopCounter ``flops``.
     """
-    L = len(layers)
-    mid = L // 2
-    Rh = B  # None stands for the identity until the first product
-    for l in range(mid):
-        W = layers[l][0]
-        Rh = d1_rows[l][:, None] * (W if Rh is None else _mm(W, Rh))
-    Lh = None if A is None else A.T
-    for l in range(L - 1, mid - 1, -1):
-        W = layers[l][0]
-        Lh = d1_rows[l][:, None] * W if Lh is None \
-            else _mm(Lh * d1_rows[l][None, :], W)
-    if Lh is None:
-        S = Rh
-    elif Rh is None:
-        S = Lh
-    else:
-        S = _mm(Lh, Rh)
-    E = S - C
-    PENALTY_FLOPS.count += E.size
-    if wgt is None:
-        return E, float(np.sum(E**2))
-    return E, float(np.sum(wgt * E**2))
+    for (W, _), d1 in zip(layers, d1s):
+        scale = d1.T[:, :, None]
+        if T is None:
+            T = W[:, None, :] * scale
+        else:
+            n_in, n, cols = T.shape
+            T = (W @ T.reshape(n_in, n * cols)).reshape(W.shape[0], n, cols)
+            T *= scale
+            flops.count += W.size * n * cols
+        flops.count += T.size
+        yield T
 
 
-# --- double backpropagation ---------------------------------------------------
+def parametric_jacobian(model, m):
+    """Exact Jacobian of the model at m: latent r_Q x r_M for reduced-basis
+    models, d_Q x d_M for generic ones.  A batch of rows gives one per row."""
+    m = np.asarray(m, dtype=float)
+    X = m @ model.bases.psi if model.kind == "reduced_basis" else m
+    _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
+    # Only the last layer's tangent is kept, so the tape's arrays are freed
+    # (and their memory reused) as it goes.
+    for T in _tangent_tape(model.weights.layers(), d1s, None, FlopCounter()):
+        pass
+    J = T.transpose(1, 0, 2)
+    return J[0] if m.ndim == 1 else J
 
-def _jacobian_products(layers, d1_rows):
-    """Forward products Jpart_l = D_l W_l ... D_1 W_1 and raw R_l = W_l Jpart_{l-1}."""
-    n0 = layers[0][0].shape[1]
-    Jparts = [np.eye(n0)]
-    Rs = []
-    for (W, _), d1 in zip(layers, d1_rows):
-        R = W @ Jparts[-1]
-        Rs.append(R)
-        Jparts.append(d1[:, None] * R)
-    return Jparts, Rs
 
-
-def _accumulate_jacobian_grad(layers, zs_rows, d1_rows, d2_rows, M,
-                              gWs, gbs, extra_seed=None):
-    """Add the weight gradient of <M, J(w)> (+ a plain output seed) in place.
-
-    ``M`` is the adjoint of the native Jacobian (n_L x n_0) or None;
-    ``extra_seed`` is a gradient with respect to the network output z_L
-    (the value-loss contribution), merged into the same backward sweep.
-    """
-    L = len(layers)
-    seeds = [None] * L
-    if M is not None:
-        Jparts, Rs = _jacobian_products(layers, d1_rows)
-        G = M
-        for l in range(L - 1, -1, -1):
-            DG = d1_rows[l][:, None] * G
-            gWs[l] += DG @ Jparts[l].T
-            seeds[l] = d2_rows[l] * np.sum(G * Rs[l], axis=1)
-            if l > 0:
-                G = layers[l][0].T @ DG
-    c = extra_seed if extra_seed is not None else 0.0
-    for l in range(L - 1, -1, -1):
-        g_a = c * d1_rows[l] if np.ndim(c) else np.zeros(layers[l][0].shape[0])
-        if seeds[l] is not None:
-            g_a = g_a + seeds[l]
-        gbs[l] += g_a
-        gWs[l] += np.outer(g_a, zs_rows[l])
-        c = layers[l][0].T @ g_a
+def full_space_jacobian(model, m):
+    """d_Q x d_M Jacobian; materializes Phi J Psi^T for reduced models."""
+    J = parametric_jacobian(model, m)
+    if model.kind == "reduced_basis":
+        return model.bases.phi @ J @ model.bases.psi.T
+    return J
 
 
 # --- losses -------------------------------------------------------------------
 
 @dataclass(eq=False)
 class Batch:
-    """One mini-batch; ``latent`` marks m/q already in reduced coordinates."""
+    """One mini-batch; ``latent`` marks m/q already in reduced coordinates,
+    ``projected`` marks jac_u/jac_v already holding Phi^T U_i / Psi^T V_i."""
 
     m: np.ndarray
     q: np.ndarray
@@ -331,6 +284,7 @@ class Batch:
     jac_v: np.ndarray = None
     jac_r: np.ndarray = None
     latent: bool = False
+    projected: bool = False
 
     @property
     def size(self):
@@ -338,9 +292,10 @@ class Batch:
 
 
 def _ms_target(sigma, ridx, cidx):
-    """Subsampled target U_[k]^T (U S V^T) V_[k'] for exact stored factors."""
+    """Subsampled target U_[k]^T (U S V^T) V_[k'] for exact stored factors;
+    ``sigma`` may be one sample's (r,) or a batch's (n, r)."""
     return np.where(ridx[:, None] == cidx[None, :],
-                    sigma[ridx][:, None], 0.0)
+                    sigma[..., ridx, None], 0.0)
 
 
 def _ms_weight(r, ridx, cidx, mode):
@@ -348,42 +303,43 @@ def _ms_weight(r, ridx, cidx, mode):
     k = len(ridx)
     if mode == "independent":
         return np.full((k, k), (r / k) ** 2)
-    if k == 1:
-        return np.full((1, 1), r / k)
     diag = ridx[:, None] == cidx[None, :]
-    return np.where(diag, r / k, (r * (r - 1)) / (k * (k - 1)))
+    return np.where(diag, r / k, (r * (r - 1)) / (k * max(k - 1, 1)))
 
 
-def _penalty_terms(model, batch, cfg, i, ms_idx):
-    """(A, B, C, wgt) of the penalty ||C - A^T J B||^2 for sample i."""
+def _penalty_terms(model, batch, cfg, ms_idx):
+    """(A, B, C, wgt) of the penalties ||C_i - A_i^T J_i B_i||^2, stacked
+    over the batch; None stands for an identity factor or unit weights."""
     variant = cfg.variant
+    reduced = model.kind == "reduced_basis"
     if variant == "h1_full":
-        if model.kind == "reduced_basis":
+        if reduced:
             if batch.jac_r is None:
                 raise ValueError("h1_full with a reduced model needs jac_r")
-            return None, None, batch.jac_r[i], None
+            return None, None, batch.jac_r, None
         if batch.jac_u is None:
             raise ValueError("h1_full with a generic model needs jac_u/sigma/v")
-        dense = (batch.jac_u[i] * batch.jac_sigma[i]) @ batch.jac_v[i].T
+        dense = (batch.jac_u * batch.jac_sigma[:, None, :]) \
+            @ batch.jac_v.transpose(0, 2, 1)
         return None, None, dense, None
     if batch.jac_u is None:
         raise ValueError(f"{variant} needs the stored Jacobian SVD factors")
-    U, sigma, V = batch.jac_u[i], batch.jac_sigma[i], batch.jac_v[i]
+    U, sigma, V = batch.jac_u, batch.jac_sigma, batch.jac_v
     if variant == "h1_truncated":
         A, B = U, V
-        C = np.diag(sigma)
+        C = sigma[:, :, None] * np.eye(sigma.shape[1])
         wgt = None
     elif variant == "h1_truncated_ms":
         if ms_idx is None:
             raise ValueError("h1_truncated_ms needs subsampled indices")
         ridx, cidx = ms_idx
-        A, B = U[:, ridx], V[:, cidx]
+        A, B = U[:, :, ridx], V[:, :, cidx]
         C = _ms_target(sigma, ridx, cidx)
-        wgt = _ms_weight(sigma.shape[0], ridx, cidx, cfg.ms_mode) \
+        wgt = _ms_weight(sigma.shape[1], ridx, cidx, cfg.ms_mode) \
             if cfg.ms_rescale else None
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
-    if model.kind == "reduced_basis":
+    if reduced and not batch.projected:
         A = model.bases.phi.T @ A
         B = model.bases.psi.T @ B
     return A, B, C, wgt
@@ -399,47 +355,65 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     layers = weights.layers()
     nbatch = batch.size
     reduced = model.kind == "reduced_basis"
-    if batch.latent and not reduced:
-        raise ValueError("latent batches require a reduced-basis model")
+    if (batch.latent or batch.projected) and not reduced:
+        raise ValueError("latent or projected batches require a "
+                         "reduced-basis model")
     if reduced and not batch.latent:
         X = batch.m @ model.bases.psi
     else:
         X = batch.m
     if X.shape[1] != weights.spec.d_in:
         raise ValueError(f"input dim {X.shape[1]} != {weights.spec.d_in}")
-    zs, d1s, d2s = _mlp_forward(weights, X)
-    f_lat = zs[-1]
+    zs, d1s, ratios = _mlp_forward(weights, X)
 
     if reduced and not batch.latent:
-        res = f_lat @ model.bases.phi.T + model.bases.b - batch.q
-        seeds = (2.0 / nbatch) * (res @ model.bases.phi)
+        res = zs[-1] @ model.bases.phi.T + model.bases.b - batch.q
+        seed = (2.0 / nbatch) * (res @ model.bases.phi)
     else:
-        res = f_lat - batch.q
-        seeds = (2.0 / nbatch) * res
+        res = zs[-1] - batch.q
+        seed = (2.0 / nbatch) * res
     loss = float(np.sum(res**2)) / nbatch
 
-    gWs = [np.zeros_like(W) for W, _ in layers]
-    gbs = [np.zeros_like(b) for _, b in layers]
-    use_penalty = cfg.variant != "l2"
-    for i in range(nbatch):
-        zs_rows = [z[i] for z in zs]
-        d1_rows = [d[i] for d in d1s]
-        d2_rows = [d[i] for d in d2s]
-        M = None
-        if use_penalty:
-            A, B, C, wgt = _penalty_terms(model, batch, cfg, i, ms_idx)
-            E, pen = _penalty_value(layers, d1_rows, A, B, C, wgt)
-            loss += cfg.h1_weight * pen / nbatch
-            EM = E if wgt is None else wgt * E
-            scale = 2.0 * cfg.h1_weight / nbatch
-            M = scale * EM
-            if A is not None:
-                M = A @ M
-            if B is not None:
-                M = M @ B.T
-        _accumulate_jacobian_grad(layers, zs_rows, d1_rows, d2_rows, M,
-                                  gWs, gbs, extra_seed=seeds[i])
-    grad = NetworkWeights.from_layers(weights.spec, list(zip(gWs, gbs)))
+    H = None  # adjoint of the tangent tape, (n_l, n, cols)
+    if cfg.variant != "l2":
+        A, B, C, wgt = _penalty_terms(model, batch, cfg, ms_idx)
+        T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
+        Ts = (T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS))
+        # A_i^T J_i B_i read off the tape
+        S = Ts[-1].transpose(1, 0, 2)
+        if A is not None:
+            S = A.transpose(0, 2, 1) @ S
+            PENALTY_FLOPS.count += A.size * S.shape[2]
+        E = S - C
+        PENALTY_FLOPS.count += E.size
+        if wgt is not None:
+            wE = wgt * E
+            PENALTY_FLOPS.count += E.size
+        else:
+            wE = E
+        loss += cfg.h1_weight * float(np.sum(wE * E)) / nbatch
+        Ebar = (2.0 * cfg.h1_weight / nbatch) * wE
+        H = (Ebar if A is None else A @ Ebar).transpose(1, 0, 2)
+
+    grads = []
+    for l in range(len(layers) - 1, -1, -1):
+        W = layers[l][0]
+        g_a = seed * d1s[l]
+        gW = np.zeros_like(W)
+        if H is not None:
+            DH = (H * d1s[l].T[:, :, None]).reshape(W.shape[0], -1)
+            T = Ts[l]
+            gW += DH.reshape(H.shape).sum(axis=1) if T is None \
+                else DH @ T.reshape(T.shape[0], -1).T
+            # d2 * sum_c(H * W_l T_{l-1}) = (d2 / d1) * sum_c(H * T_l)
+            g_a += ratios[l] * np.einsum("obc,obc->bo", H, Ts[l + 1])
+        gW += g_a.T @ zs[l]
+        grads.append((gW, g_a.sum(axis=0)))
+        if l > 0:
+            seed = g_a @ W
+            if H is not None:
+                H = (W.T @ DH).reshape(W.shape[1], *H.shape[1:])
+    grad = NetworkWeights.from_layers(weights.spec, grads[::-1])
     return loss, grad.flat
 
 

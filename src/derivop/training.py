@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .datagen import Dataset, ReducedDataset, reduce_dataset
-from .netop import Batch, loss_and_grad, save_model
+from .datagen import Dataset, ReducedDataset, project_factors, reduce_dataset
+from .netop import Batch, _ms_target, _ms_weight, loss_and_grad, save_model
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
 
@@ -70,18 +70,11 @@ def ms_penalty(jac, model_jac, idx, mode="dependent", rescale=False):
     if np.any(ridx >= r) or np.any(cidx >= r) or np.any(ridx < 0) \
             or np.any(cidx < 0):
         raise ValueError("subsample index out of range")
-    target = np.where(ridx[:, None] == cidx[None, :],
-                      jac.sigma[ridx][:, None], 0.0)
-    E = target - jac.U[:, ridx].T @ model_jac @ jac.V[:, cidx]
+    E = _ms_target(jac.sigma, ridx, cidx) \
+        - jac.U[:, ridx].T @ model_jac @ jac.V[:, cidx]
     if not rescale:
         return float(np.sum(E**2))
-    k = len(ridx)
-    if mode == "independent":
-        return float((r / k) ** 2 * np.sum(E**2))
-    diag = ridx[:, None] == cidx[None, :]
-    w = np.where(diag, r / k,
-                 (r * (r - 1)) / (k * max(k - 1, 1)))
-    return float(np.sum(w * E**2))
+    return float(np.sum(_ms_weight(r, ridx, cidx, mode) * E**2))
 
 
 @dataclass
@@ -142,7 +135,7 @@ def _training_arrays(data, model, cfg):
 
     Reduced-basis models with l2 / h1_full train in reduced coordinates
     (the projected problem has the same w-gradient); truncated variants
-    keep the full-space arrays and project inside the loss.
+    keep the full-space m and q but get the factors projected here, once.
     """
     reduced_model = model.kind == "reduced_basis"
     if isinstance(data, ReducedDataset):
@@ -158,8 +151,12 @@ def _training_arrays(data, model, cfg):
         red = reduce_dataset(data, model.bases)
         return {"m": red.m_r, "q": red.q_hat, "jac_r": red.jac_r,
                 "latent": True}
-    return {"m": data.m, "q": data.q, "jac_u": data.jac_u,
-            "jac_sigma": data.jac_sigma, "jac_v": data.jac_v, "latent": False}
+    arrays = {"m": data.m, "q": data.q, "jac_u": data.jac_u,
+              "jac_sigma": data.jac_sigma, "jac_v": data.jac_v,
+              "latent": False, "projected": reduced_model}
+    if reduced_model:
+        arrays["jac_u"], arrays["jac_v"] = project_factors(data, model.bases)
+    return arrays
 
 
 def _make_batch(arrays, idx):
@@ -169,12 +166,13 @@ def _make_batch(arrays, idx):
 
     return Batch(m=arrays["m"][idx], q=arrays["q"][idx], jac_u=take("jac_u"),
                  jac_sigma=take("jac_sigma"), jac_v=take("jac_v"),
-                 jac_r=take("jac_r"), latent=arrays["latent"])
+                 jac_r=take("jac_r"), latent=arrays["latent"],
+                 projected=arrays.get("projected", False))
 
 
-def dataset_loss(model, data, cfg, batch_size=256):
-    """Mean loss over a dataset without gradients (holdout evaluation)."""
-    arrays = _training_arrays(data, model, cfg)
+def _mean_loss(model, arrays, cfg, batch_size=256):
+    """Mean loss over arrays from ``_training_arrays`` without a gradient
+    step (holdout evaluation)."""
     n = arrays["m"].shape[0]
     # MS draws add noise to a monitoring metric; use the deterministic
     # truncated penalty instead when evaluating.
@@ -198,6 +196,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     the run RNG drives both the per-epoch shuffle and the MS index draws.
     """
     arrays = _training_arrays(data, model, cfg)
+    held = None if holdout is None else _training_arrays(holdout, model, cfg)
     n = arrays["m"].shape[0]
     rng = np.random.default_rng(seed)
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
@@ -228,8 +227,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
         model = model.with_weights(w)
         history.train_loss.append(epoch_loss / n)
         history.holdout_loss.append(
-            dataset_loss(model, holdout, cfg) if holdout is not None
-            else None)
+            None if held is None else _mean_loss(model, held, cfg))
         if checkpoint_dir is not None and checkpoint_every \
                 and (epoch + 1) % checkpoint_every == 0:
             save_checkpoint(model, state, history,

@@ -11,6 +11,8 @@ from derivop.netop import (
     MLPSpec,
     NetworkWeights,
     OperatorModel,
+    _ms_target,
+    _ms_weight,
     forward,
     full_space_jacobian,
     load_model,
@@ -256,6 +258,216 @@ class TestLossAndGrad:
                       q=rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
             loss_and_grad(model, batch, LossConfig(variant="h1_truncated"))
+
+
+# --- per-sample loop reference -------------------------------------------------
+# The double-backprop algorithm as it ran before the batched tangent tape:
+# one sample at a time, penalty in factored order (B up the first half of
+# the chain, A^T down the second), then the weight gradient of <M, J(w)>
+# from explicit partial Jacobian products.  Kept only to check the batched
+# implementation against.
+
+def _loop_forward(model, X):
+    zs, d1s, d2s = [X], [], []
+    for (W, b), name in zip(model.weights.layers(), model.spec.activations):
+        a = zs[-1] @ W.T + b
+        if name == "linear":
+            zs.append(a)
+            d1s.append(np.ones_like(a))
+            d2s.append(np.zeros_like(a))
+        else:
+            s = 1.0 / (1.0 + np.exp(-a))
+            zs.append(np.logaddexp(0.0, a))
+            d1s.append(s)
+            d2s.append(s * (1.0 - s))
+    return zs, d1s, d2s
+
+
+def _loop_penalty(layers, d1, A, B, C, wgt):
+    L = len(layers)
+    mid = L // 2
+    Rh = B
+    for l in range(mid):
+        W = layers[l][0]
+        Rh = d1[l][:, None] * (W if Rh is None else W @ Rh)
+    Lh = None if A is None else A.T
+    for l in range(L - 1, mid - 1, -1):
+        W = layers[l][0]
+        Lh = d1[l][:, None] * W if Lh is None else (Lh * d1[l][None, :]) @ W
+    S = Rh if Lh is None else Lh if Rh is None else Lh @ Rh
+    E = S - C
+    return E, float(np.sum(E**2 if wgt is None else wgt * E**2))
+
+
+def _loop_accumulate(layers, zs, d1, d2, M, gWs, gbs, seed):
+    L = len(layers)
+    seeds = [0.0] * L
+    if M is not None:
+        Jparts, Rs = [np.eye(layers[0][0].shape[1])], []
+        for (W, _), d in zip(layers, d1):
+            Rs.append(W @ Jparts[-1])
+            Jparts.append(d[:, None] * Rs[-1])
+        G = M
+        for l in range(L - 1, -1, -1):
+            DG = d1[l][:, None] * G
+            gWs[l] += DG @ Jparts[l].T
+            seeds[l] = d2[l] * np.sum(G * Rs[l], axis=1)
+            G = layers[l][0].T @ DG
+    c = seed
+    for l in range(L - 1, -1, -1):
+        g_a = c * d1[l] + seeds[l]
+        gbs[l] += g_a
+        gWs[l] += np.outer(g_a, zs[l])
+        c = layers[l][0].T @ g_a
+
+
+def _loop_terms(model, batch, cfg, i, ms_idx):
+    if cfg.variant == "h1_full":
+        if model.kind == "reduced_basis":
+            return None, None, batch.jac_r[i], None
+        dense = (batch.jac_u[i] * batch.jac_sigma[i]) @ batch.jac_v[i].T
+        return None, None, dense, None
+    U, sigma, V = batch.jac_u[i], batch.jac_sigma[i], batch.jac_v[i]
+    if cfg.variant == "h1_truncated":
+        A, B, C, wgt = U, V, np.diag(sigma), None
+    else:
+        ridx, cidx = ms_idx
+        A, B = U[:, ridx], V[:, cidx]
+        C = _ms_target(sigma, ridx, cidx)
+        wgt = _ms_weight(len(sigma), ridx, cidx, cfg.ms_mode) \
+            if cfg.ms_rescale else None
+    if model.kind == "reduced_basis":
+        A, B = model.bases.phi.T @ A, model.bases.psi.T @ B
+    return A, B, C, wgt
+
+
+def loop_loss_and_grad(model, batch, cfg, ms_idx=None):
+    """Per-sample reference for ``loss_and_grad`` (unprojected batches)."""
+    layers = model.weights.layers()
+    n = batch.size
+    full_space = model.kind == "reduced_basis" and not batch.latent
+    X = batch.m @ model.bases.psi if full_space else batch.m
+    zs, d1s, d2s = _loop_forward(model, X)
+    if full_space:
+        res = zs[-1] @ model.bases.phi.T + model.bases.b - batch.q
+        seeds = (2.0 / n) * (res @ model.bases.phi)
+    else:
+        res = zs[-1] - batch.q
+        seeds = (2.0 / n) * res
+    loss = float(np.sum(res**2)) / n
+    gWs = [np.zeros_like(W) for W, _ in layers]
+    gbs = [np.zeros_like(b) for _, b in layers]
+    for i in range(n):
+        d1 = [d[i] for d in d1s]
+        M = None
+        if cfg.variant != "l2":
+            A, B, C, wgt = _loop_terms(model, batch, cfg, i, ms_idx)
+            E, pen = _loop_penalty(layers, d1, A, B, C, wgt)
+            loss += cfg.h1_weight * pen / n
+            M = (2.0 * cfg.h1_weight / n) * (E if wgt is None else wgt * E)
+            if A is not None:
+                M = A @ M
+            if B is not None:
+                M = M @ B.T
+        _loop_accumulate(layers, [z[i] for z in zs], d1, [d[i] for d in d2s],
+                         M, gWs, gbs, seeds[i])
+    grad = NetworkWeights.from_layers(model.spec, list(zip(gWs, gbs)))
+    return loss, grad.flat
+
+
+REFERENCE_CFGS = [
+    LossConfig(variant="l2"),
+    LossConfig(variant="h1_full", h1_weight=0.7),
+    LossConfig(variant="h1_truncated", h1_weight=1.3),
+    *(LossConfig(variant="h1_truncated_ms", k=3, ms_mode=mode,
+                 ms_rescale=rescale)
+      for mode in ("dependent", "independent") for rescale in (False, True)),
+]
+
+
+def _cfg_id(cfg):
+    if cfg.variant != "h1_truncated_ms":
+        return cfg.variant
+    return f"ms-{cfg.ms_mode}-{'rescaled' if cfg.ms_rescale else 'plain'}"
+
+
+def _ms_draw(cfg, r, rng):
+    if cfg.variant != "h1_truncated_ms":
+        return None
+    ridx = rng.choice(r, size=cfg.k, replace=False)
+    cidx = ridx if cfg.ms_mode == "dependent" \
+        else rng.choice(r, size=cfg.k, replace=False)
+    return ridx, cidx
+
+
+def assert_matches_reference(got, want):
+    (loss, grad), (ref_loss, ref_grad) = got, want
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+
+class TestBatchedTapeVsLoop:
+    """The batched tangent tape reproduces the per-sample loop."""
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=_cfg_id)
+    @pytest.mark.parametrize("kind", ["generic", "generic_softplus_out",
+                                      "reduced_basis", "reduced_projected"])
+    def test_full_space_batches(self, cfg, kind):
+        rng = np.random.default_rng(12)
+        if kind == "generic":
+            model = make_generic(7, 5, (6, 4), seed=2)
+        elif kind == "generic_softplus_out":
+            spec = MLPSpec(widths=(7, 6, 5), activations=("softplus",) * 2,
+                           init_seed=2)
+            model = OperatorModel(kind="generic", spec=spec,
+                                  weights=NetworkWeights.init(spec))
+        else:
+            model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 5, rng, exact=False, rank=4)
+        ms_idx = _ms_draw(cfg, 4, rng)
+        want = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        if kind == "reduced_projected":
+            phi, psi = model.bases.phi, model.bases.psi
+            batch = Batch(m=batch.m, q=batch.q, jac_u=phi.T @ batch.jac_u,
+                          jac_sigma=batch.jac_sigma, jac_v=psi.T @ batch.jac_v,
+                          jac_r=batch.jac_r, projected=True)
+        got = loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        assert_matches_reference(got, want)
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CFGS[:2], ids=_cfg_id)
+    def test_reduced_latent_batches(self, cfg):
+        rng = np.random.default_rng(13)
+        model = make_reduced(9, 6, 5, 4, (6, 6), rng, seed=3)
+        batch = Batch(m=rng.standard_normal((6, 5)),
+                      q=rng.standard_normal((6, 4)),
+                      jac_r=rng.standard_normal((6, 4, 5)), latent=True)
+        assert_matches_reference(loss_and_grad(model, batch, cfg),
+                                 loop_loss_and_grad(model, batch, cfg))
+
+    def test_projected_batch_needs_reduced_model(self):
+        rng = np.random.default_rng(14)
+        model = make_generic(4, 3, (5,))
+        batch = batch_from_model(model, 2, rng, exact=False)
+        batch.projected = True
+        with pytest.raises(ValueError):
+            loss_and_grad(model, batch, LossConfig(variant="h1_truncated"))
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_batched_jacobian_rows_equal_single_calls(self, kind):
+        rng = np.random.default_rng(15)
+        if kind == "generic":
+            model = make_generic(6, 4, (8, 8))
+        else:
+            model = make_reduced(9, 6, 5, 4, (8,), rng)
+        M = rng.standard_normal((5, model.d_m))
+        batched = parametric_jacobian(model, M)
+        assert batched.shape == (5, *parametric_jacobian(model, M[0]).shape)
+        # BLAS may block a 5-row GEMM differently from a 1-row one, so rows
+        # agree to a few float64 ulps rather than bitwise.
+        for i in range(5):
+            np.testing.assert_allclose(batched[i],
+                                       parametric_jacobian(model, M[i]),
+                                       rtol=1e-13, atol=1e-15)
 
 
 class TestPersistence:

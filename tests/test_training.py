@@ -5,11 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
+from derivop import training
 from derivop.bases import derivative_informed_bases
 from derivop.datagen import generate_dataset, reduce_dataset
 from derivop.linalg import TruncatedJacobian
 from derivop.models import ToyMap
-from derivop.netop import MLPSpec, NetworkWeights, OperatorModel, forward
+from derivop.netop import (
+    Batch,
+    MLPSpec,
+    NetworkWeights,
+    OperatorModel,
+    forward,
+    loss_and_grad,
+)
 from derivop.training import (
     AdamState,
     LossConfig,
@@ -276,3 +284,33 @@ class TestTrain:
                         seed=1, holdout=holdout)
         assert len(hist.holdout_loss) == 2
         assert all(np.isfinite(hist.holdout_loss))
+
+    @pytest.mark.parametrize("variant", ["h1_full", "h1_truncated"])
+    def test_reduced_holdout_prepared_once(self, toy_ds, monkeypatch,
+                                           variant):
+        # the holdout set is projected once per train call, not per epoch,
+        # and its last loss is that of the final model
+        bases = derivative_informed_bases(toy_ds, rank_in=6, rank_out=5)
+        spec = MLPSpec.dense((6, 8, 5), init_seed=0)
+        model = OperatorModel(kind="reduced_basis", spec=spec,
+                              weights=NetworkWeights.init(spec), bases=bases)
+        calls = []
+        for name in ("reduce_dataset", "project_factors"):
+            real = getattr(training, name)
+            monkeypatch.setattr(
+                training, name,
+                lambda *args, real=real: calls.append(1) or real(*args))
+        holdout = toy_ds.subset(range(8))
+        cfg = LossConfig(variant=variant)
+        out, hist = train(toy_ds.subset(range(8, 64)), model, cfg, epochs=3,
+                          batch_size=16, seed=1, holdout=holdout)
+        assert len(calls) == 2
+        if variant == "h1_full":
+            red = reduce_dataset(holdout, bases)
+            batch = Batch(m=red.m_r, q=red.q_hat, jac_r=red.jac_r,
+                          latent=True)
+        else:
+            batch = Batch(m=holdout.m, q=holdout.q, jac_u=holdout.jac_u,
+                          jac_sigma=holdout.jac_sigma, jac_v=holdout.jac_v)
+        expected, _ = loss_and_grad(out, batch, cfg)
+        assert hist.holdout_loss[-1] == pytest.approx(expected, rel=1e-12)
