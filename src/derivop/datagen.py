@@ -201,6 +201,9 @@ def load_dataset(dirpath):
     arrays, manifest = io.load_arrays(dirpath)
     if manifest.get("object") != "dataset":
         raise io.LoadError(f"{dirpath} does not hold a dataset")
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise io.LoadError(f"{dirpath}: array {name!r} is not finite")
     meta = {k: v for k, v in manifest.items()
             if k not in ("arrays", "format_version", "object")}
     ds = Dataset(m=arrays["m"], q=arrays["q"], jac_u=arrays["jac_U"],

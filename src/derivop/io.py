@@ -4,10 +4,15 @@ Every persisted object (dataset, basis pair, network weights, checkpoints)
 uses the same convention: a directory containing ``manifest.json`` and one
 ``<name>.bin`` file per array.  Arrays are little-endian 64-bit floats in
 row-major order; each file's CRC32 is recorded in the manifest so silent
-corruption turns into a load error.
+corruption turns into a load error.  A save writes a temporary sibling
+directory and swaps it into place: the directory never mixes old and new
+files, and a save that fails while writing leaves the old object as it was.
 """
 
 import json
+import os
+import shutil
+import uuid
 import zlib
 from pathlib import Path
 
@@ -21,26 +26,37 @@ class LoadError(RuntimeError):
 
 
 def save_arrays(dirpath, arrays, meta=None):
-    """Write ``arrays`` (name -> ndarray) plus metadata to ``dirpath``."""
+    """Write ``arrays`` (name -> ndarray) plus metadata to ``dirpath``,
+    replacing whatever the directory held before."""
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    entries = {}
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        raw = arr.tobytes()
-        (dirpath / f"{name}.bin").write_bytes(raw)
-        entries[name] = {
-            "file": f"{name}.bin",
-            "shape": list(arr.shape),
-            "dtype": "<f8",
-            "crc32": zlib.crc32(raw),
-        }
-    manifest = {"format_version": FORMAT_VERSION, "arrays": entries}
-    if meta:
-        manifest.update(meta)
-    with open(dirpath / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, default=_json_default)
-        f.write("\n")
+    dirpath.parent.mkdir(parents=True, exist_ok=True)
+    tmp = dirpath.with_name(f".{dirpath.name}.{uuid.uuid4().hex}.tmp")
+    tmp.mkdir()
+    try:
+        entries = {}
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            raw = arr.tobytes()
+            (tmp / f"{name}.bin").write_bytes(raw)
+            entries[name] = {
+                "file": f"{name}.bin",
+                "shape": list(arr.shape),
+                "dtype": "<f8",
+                "crc32": zlib.crc32(raw),
+            }
+        manifest = {"format_version": FORMAT_VERSION, "arrays": entries}
+        if meta:
+            manifest.update(meta)
+        with open(tmp / "manifest.json", "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2, default=_json_default)
+            f.write("\n")
+        old = tmp.with_suffix(".old")
+        if dirpath.exists():
+            os.replace(dirpath, old)
+        os.replace(tmp, dirpath)
+        shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def load_arrays(dirpath):

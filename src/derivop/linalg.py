@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: randomized SVD of matrix-free operators,
-symmetric top-k eigendecomposition, and Frobenius-norm orthogonal splitting.
+"""Dense linear-algebra kernels: randomized SVD of matrix-free operators
+and symmetric top-k eigendecomposition.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +21,6 @@ class LinearOperator:
     ncols: int
     apply: Callable[[np.ndarray], np.ndarray]
     apply_transpose: Callable[[np.ndarray], np.ndarray]
-
-    def apply_mat(self, X):
-        return self.apply(X)
 
     def apply_transpose_mat(self, X):
         return self.apply_transpose(X)
@@ -165,33 +162,6 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
         U = Q @ Ub[:, :rank]
     U, V = fix_signs(U[:, :rank], Vt[:rank].T)
     return TruncatedJacobian(U=U, sigma=s[:rank].copy(), V=V)
-
-
-def frobenius_orthogonal_split(A, Q, side="right"):
-    """Split ||A||_F^2 into the parts inside and outside range(Q).
-
-    ``inside`` is ||A Q Q^T||_F^2 for side="right" (||Q Q^T A||_F^2 for
-    "left"); ``outside`` is the complement.  inside + outside == ||A||_F^2.
-    """
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    dim = A.shape[1] if side == "right" else A.shape[0]
-    if Q.shape[0] != dim:
-        raise ValueError(f"Q has {Q.shape[0]} rows, expected {dim}")
-    gram_err = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]))
-    if gram_err > 1e-8:
-        raise ValueError(f"Q not orthonormal, |QtQ - I| = {gram_err:.3e}")
-    if side == "right":
-        proj = A @ Q
-        residual = A - proj @ Q.T
-    else:
-        proj = Q.T @ A
-        residual = A - Q @ proj
-    inside = float(np.sum(proj**2))
-    outside = float(np.sum(residual**2))
-    return inside, outside
 
 
 def symmetric_eig_topk(S, k):

@@ -3,9 +3,14 @@ Jacobian (H^1 semi-norm) accuracy, misfit-gradient accuracy, and full and
 reduced Gauss-Newton Hessian accuracies.
 
 All accuracies take the form 1 - sqrt(mean relative squared error) and may
-be negative when the surrogate is worse than predicting zero.  For
-reduced-basis models the Frobenius residuals are expanded through the
-stored SVD factors, so no d_Q x d_M or d_M x d_M matrix is formed.
+be negative when the surrogate is worse than predicting zero.  The model
+Jacobians at the test inputs are computed once and stacked; every metric is
+batched array algebra over them.  Reduced-basis Jacobians stay latent and
+the residuals are expanded through the stored SVD factors.  No model forms a
+d_M x d_M matrix: with JV = J V and P = J - JV V^T, the GN error of a dense J
+splits on range(V) into sums of squares whose largest product is d_Q x d_Q,
+||V S^2 V^T - J^T J||^2 = ||S^2 - JV^T JV||^2 + 2 ||P^T JV||^2 + ||P P^T||^2,
+and the first term is the reduced (rgn) error.
 """
 
 import csv
@@ -15,7 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .netop import OperatorModel, forward, full_space_jacobian, parametric_jacobian
+from .datagen import project_factors
+from .netop import OperatorModel, forward, parametric_jacobian
+
+# Test rows per block: the tangent tape and the dense residuals run one
+# block at a time, so their transient memory stays bounded.
+_BLOCK_ROWS = 8
 
 
 @dataclass
@@ -50,56 +60,82 @@ def _predict(model, M):
     return model.predict(M)
 
 
-def _jac_full(model, m):
-    if isinstance(model, OperatorModel):
-        return full_space_jacobian(model, m)
-    return model.jacobian(m)
+def _is_reduced(model):
+    return isinstance(model, OperatorModel) and model.kind == "reduced_basis"
+
+
+def _blocks(n):
+    return [slice(k, k + _BLOCK_ROWS) for k in range(0, n, _BLOCK_ROWS)]
+
+
+def _model_jacobians(model, M):
+    """Model Jacobians at the rows of M, stacked: latent r_Q x r_M for
+    reduced-basis models, dense d_Q x d_M for generic and duck-typed ones.
+    The tangent tape runs on one block of rows at a time."""
+    if not isinstance(model, OperatorModel):
+        return np.stack([model.jacobian(m) for m in M])
+    J = np.empty((len(M), model.spec.d_out, model.spec.d_in))
+    for b in _blocks(len(M)):
+        J[b] = parametric_jacobian(model, M[b])
+    return J
 
 
 def _accuracy(ratios):
     return 1.0 - float(np.sqrt(np.mean(ratios)))
 
 
+def _skip_zero(err2, norm2):
+    """Relative errors where the norm is nonzero, and the count skipped."""
+    keep = norm2 != 0.0
+    return err2[keep] / norm2[keep], int(np.sum(~keep))
+
+
+def _sum_squares(A):
+    """Squared Frobenius norms of stacked matrices, without a squared copy."""
+    return np.einsum("...ij,...ij->...", A, A)
+
+
 def l2_accuracy(model, test_ds):
     """1 - sqrt(mean ||q - f||^2 / ||q||^2); zero-norm samples are skipped."""
     preds = _predict(model, test_ds.m)
-    q_norm2 = np.sum(test_ds.q**2, axis=1)
-    keep = q_norm2 > 0
-    err2 = np.sum((test_ds.q - preds) ** 2, axis=1)
-    ratios = err2[keep] / q_norm2[keep]
-    return _accuracy(ratios), ratios, int(np.sum(~keep))
+    ratios, skipped = _skip_zero(np.sum((test_ds.q - preds) ** 2, axis=1),
+                                 np.sum(test_ds.q**2, axis=1))
+    return _accuracy(ratios), ratios, skipped
 
 
-def _h1_sample_error2(model, test_ds, i, factored):
-    U, s, V = test_ds.jac_u[i], test_ds.jac_sigma[i], test_ds.jac_v[i]
-    true_norm2 = float(np.sum(s**2))
+def _h1_error2(U, s, V, J, bases=None):
+    """||U S V^T - J||_F^2 for a block of dense Jacobians, or of latent ones
+    lifted to Phi J Psi^T when ``bases`` is given."""
+    if bases is not None:
+        J = bases.phi @ J @ bases.psi.T
+    resid = (U * s[:, None, :]) @ V.transpose(0, 2, 1)
+    resid -= J
+    return _sum_squares(resid)
+
+
+def h1_seminorm_accuracy(model, test_ds, factored=None, model_jac=None):
+    """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2).
+
+    ``model_jac`` holds the stacked model Jacobians of ``_model_jacobians``;
+    they are computed when it is omitted.
+    """
+    if factored is None:
+        factored = _is_reduced(model)
+    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
+    U, s, V = test_ds.jac_u, test_ds.jac_sigma, test_ds.jac_v
+    true2 = np.sum(s**2, axis=1)
     if factored:
         # ||USV^T - Phi J Psi^T||^2 expanded through the factors.
-        bases = model.bases
-        J = parametric_jacobian(model, test_ds.m[i])
-        mid = (U.T @ bases.phi) @ J @ (bases.psi.T @ V)
-        cross = float(np.sum(s * np.diag(mid)))
-        err2 = true_norm2 - 2.0 * cross + float(np.sum(J**2))
+        left, right = project_factors(test_ds, model.bases)
+        cross = np.sum(s * np.sum(left * (J @ right), axis=1), axis=1)
         # clamp tiny negative round-off
-        return max(err2, 0.0), true_norm2
-    Jw = _jac_full(model, test_ds.m[i])
-    err2 = float(np.sum(((U * s) @ V.T - Jw) ** 2))
-    return err2, true_norm2
-
-
-def h1_seminorm_accuracy(model, test_ds, factored=None):
-    """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2)."""
-    if factored is None:
-        factored = isinstance(model, OperatorModel) \
-            and model.kind == "reduced_basis"
-    ratios, skipped = [], 0
-    for i in range(test_ds.n_samples):
-        err2, true2 = _h1_sample_error2(model, test_ds, i, factored)
-        if true2 == 0.0:
-            skipped += 1
-            continue
-        ratios.append(err2 / true2)
-    return _accuracy(np.array(ratios)), np.array(ratios), skipped
+        err2 = np.maximum(true2 - 2.0 * cross + _sum_squares(J), 0.0)
+    else:
+        bases = model.bases if _is_reduced(model) else None
+        err2 = np.concatenate([_h1_error2(U[b], s[b], V[b], J[b], bases)
+                               for b in _blocks(test_ds.n_samples)])
+    ratios, skipped = _skip_zero(err2, true2)
+    return _accuracy(ratios), ratios, skipped
 
 
 def misfit_gradient(jac, q_pred, d, noise_var):
@@ -123,68 +159,92 @@ def noise_std(test_ds, noise_pct=0.01):
     return noise_pct * rms
 
 
-def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
+def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4,
+                      model_jac=None):
     """Misfit-gradient accuracy averaged over synthetic noisy data draws.
 
     For each test sample, d = q + eta with eta ~ N(0, (noise_pct * RMS)^2 I);
     the true gradient uses the stored Jacobian SVD, the predicted one the
-    model's values and Jacobian.
+    model's values and Jacobian.  One call draws all the noise, in the
+    order of a loop over samples and then draws; draws whose true gradient
+    is zero are skipped.  ``model_jac`` is as in h1_seminorm_accuracy.
     """
     std = noise_std(test_ds, noise_pct)
+    var = std**2
+    if var <= 0:
+        raise ValueError("noise variances must be positive")
+    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
     rng = np.random.default_rng(seed)
-    preds = _predict(model, test_ds.m)
-    ratios, skipped = [], 0
-    for i in range(test_ds.n_samples):
-        jac_true = test_ds.jacobian(i)
-        jac_model = _jac_full(model, test_ds.m[i])
-        for _ in range(n_misfit):
-            d = test_ds.q[i] + std * rng.standard_normal(test_ds.d_q)
-            g_true = misfit_gradient(jac_true, test_ds.q[i], d, std**2)
-            g_pred = misfit_gradient(jac_model, preds[i], d, std**2)
-            denom = float(np.sum(g_true**2))
-            if denom == 0.0:
-                skipped += 1
-                continue
-            ratios.append(float(np.sum((g_true - g_pred) ** 2)) / denom)
-    return _accuracy(np.array(ratios)), np.array(ratios), skipped
-
-
-def _gn_sample_errors(model, test_ds, i):
-    """(full_err2, full_norm2, red_err2, red_norm2) for one sample."""
-    U, s, V = test_ds.jac_u[i], test_ds.jac_sigma[i], test_ds.jac_v[i]
-    full_norm2 = float(np.sum(s**4))
-    red_norm2 = full_norm2  # V^T (V S^2 V^T) V = S^2
-    if isinstance(model, OperatorModel) and model.kind == "reduced_basis":
-        bases = model.bases
-        J = parametric_jacobian(model, test_ds.m[i])
-        K = J.T @ J  # rbar_M x rbar_M
-        P = V.T @ bases.psi  # r x rbar_M
-        cross = float(np.sum((s[:, None] ** 2 * P) * (P @ K)))
-        full_err2 = full_norm2 - 2.0 * cross + float(np.sum(K**2))
-        red_model = P @ K @ P.T
-        red_err2 = float(np.sum((np.diag(s**2) - red_model) ** 2))
+    noise = rng.standard_normal((test_ds.n_samples, n_misfit, test_ds.d_q))
+    q = test_ds.q[:, None, :]
+    d = q + std * noise
+    # misfit_gradient of the true and the model Jacobian, for every draw
+    w_true = (q - d) / var
+    w_pred = (_predict(model, test_ds.m)[:, None, :] - d) / var
+    g_true = ((w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]) \
+        @ test_ds.jac_v.transpose(0, 2, 1)
+    if _is_reduced(model):
+        g_diff = ((w_pred @ model.bases.phi) @ J) @ model.bases.psi.T
     else:
-        Jw = _jac_full(model, test_ds.m[i])
-        H_true = (V * s**2) @ V.T
-        H_model = Jw.T @ Jw
-        full_err2 = float(np.sum((H_true - H_model) ** 2))
-        red_model = V.T @ H_model @ V
-        red_err2 = float(np.sum((np.diag(s**2) - red_model) ** 2))
-    return max(full_err2, 0.0), full_norm2, red_err2, red_norm2
+        g_diff = w_pred @ J
+    g_diff -= g_true
+    ratios, skipped = _skip_zero(np.einsum("nkj,nkj->nk", g_diff, g_diff),
+                                 np.einsum("nkj,nkj->nk", g_true, g_true))
+    return _accuracy(ratios), ratios, skipped
 
 
-def gauss_newton_accuracies(model, test_ds):
-    """Full and V_r-reduced Gauss-Newton Hessian accuracies."""
-    full_ratios, red_ratios, skipped = [], [], 0
-    for i in range(test_ds.n_samples):
-        fe2, fn2, re2, rn2 = _gn_sample_errors(model, test_ds, i)
-        if fn2 == 0.0:
-            skipped += 1
-            continue
-        full_ratios.append(fe2 / fn2)
-        red_ratios.append(re2 / rn2)
-    return (_accuracy(np.array(full_ratios)), _accuracy(np.array(red_ratios)),
-            np.array(full_ratios), np.array(red_ratios), skipped)
+def _diag_residual2(s2, G):
+    """||diag(s2_i) - G_i||_F^2 for a stack of square G_i."""
+    R = -G
+    diag = np.arange(s2.shape[1])
+    R[:, diag, diag] += s2
+    return _sum_squares(R)
+
+
+def _gn_error2(s2, V, J):
+    """Full and reduced squared GN errors, stacked (2, n), for a block of
+    dense Jacobians, by the split on range(V).  P = J - JV V^T is never
+    formed: JV^T P = JV^T J - (JV^T JV) V^T and P P^T = J J^T - JV JV^T, so
+    their round-off is squared along with them."""
+    JV = J @ V
+    JVt = JV.transpose(0, 2, 1)
+    red_model = JVt @ JV
+    cross = JVt @ J
+    cross -= red_model @ V.transpose(0, 2, 1)
+    PPt = J @ J.transpose(0, 2, 1)
+    PPt -= JV @ JVt
+    red = _diag_residual2(s2, red_model)
+    return np.stack([red + 2.0 * _sum_squares(cross) + _sum_squares(PPt),
+                     red])
+
+
+def gauss_newton_accuracies(model, test_ds, model_jac=None):
+    """Full and V_r-reduced Gauss-Newton Hessian accuracies.
+
+    Dense model Jacobians use the orthogonal split of the module docstring;
+    reduced-basis ones expand the full error through Psi^T V.
+    ``model_jac`` is as in h1_seminorm_accuracy.
+    """
+    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
+    s, V = test_ds.jac_sigma, test_ds.jac_v
+    s2 = s**2
+    norm2 = np.sum(s**4, axis=1)  # ||V S^2 V^T||^2 = ||S^2||^2
+    if _is_reduced(model):
+        JP = J @ project_factors(test_ds, model.bases)[1]  # J Psi^T V
+        red_model = JP.transpose(0, 2, 1) @ JP
+        cross = np.sum(s2 * np.diagonal(red_model, axis1=1, axis2=2), axis=1)
+        # clamp tiny negative round-off
+        full_err2 = np.maximum(
+            norm2 - 2.0 * cross + _sum_squares(J @ J.transpose(0, 2, 1)), 0.0)
+        red_err2 = _diag_residual2(s2, red_model)
+    else:
+        full_err2, red_err2 = np.concatenate(
+            [_gn_error2(s2[b], V[b], J[b]) for b in _blocks(test_ds.n_samples)],
+            axis=1)
+    full_ratios, skipped = _skip_zero(full_err2, norm2)
+    red_ratios, _ = _skip_zero(red_err2, norm2)
+    return (_accuracy(full_ratios), _accuracy(red_ratios), full_ratios,
+            red_ratios, skipped)
 
 
 def truncation_error_bound(jac_true, jac, model_jac):
@@ -219,30 +279,26 @@ def evaluate(model, test_ds, metrics=("l2", "h1", "grad", "gn", "rgn"),
                           "n_misfit": n_misfit,
                           "noise_std": noise_std(test_ds, noise_pct)})
     metrics = list(metrics)
+
+    def put(name, result, skip_key=None):
+        report.accuracies[name], report.per_sample[name] = result[:2]
+        report.warnings[skip_key or f"{name}_skipped"] = result[2]
+
     if "l2" in metrics:
-        acc, ratios, skipped = l2_accuracy(model, test_ds)
-        report.accuracies["l2"] = acc
-        report.per_sample["l2"] = ratios
-        report.warnings["l2_skipped"] = skipped
+        put("l2", l2_accuracy(model, test_ds))
+    jac = _model_jacobians(model, test_ds.m) \
+        if {"h1", "grad", "gn", "rgn"} & set(metrics) else None
     if "h1" in metrics:
-        acc, ratios, skipped = h1_seminorm_accuracy(model, test_ds)
-        report.accuracies["h1"] = acc
-        report.per_sample["h1"] = ratios
-        report.warnings["h1_skipped"] = skipped
+        put("h1", h1_seminorm_accuracy(model, test_ds, model_jac=jac))
     if "grad" in metrics:
-        acc, ratios, skipped = gradient_accuracy(
-            model, test_ds, noise_pct=noise_pct, seed=seed, n_misfit=n_misfit)
-        report.accuracies["grad"] = acc
-        report.per_sample["grad"] = ratios
-        report.warnings["grad_skipped"] = skipped
+        put("grad", gradient_accuracy(model, test_ds, noise_pct=noise_pct,
+                                      seed=seed, n_misfit=n_misfit,
+                                      model_jac=jac))
     if "gn" in metrics or "rgn" in metrics:
         gn, rgn, gn_ratios, rgn_ratios, skipped = \
-            gauss_newton_accuracies(model, test_ds)
+            gauss_newton_accuracies(model, test_ds, model_jac=jac)
         if "gn" in metrics:
-            report.accuracies["gn"] = gn
-            report.per_sample["gn"] = gn_ratios
+            put("gn", (gn, gn_ratios, skipped))
         if "rgn" in metrics:
-            report.accuracies["rgn"] = rgn
-            report.per_sample["rgn"] = rgn_ratios
-        report.warnings["gn_skipped"] = skipped
+            put("rgn", (rgn, rgn_ratios, skipped), skip_key="gn_skipped")
     return report

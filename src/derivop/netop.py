@@ -238,7 +238,8 @@ def _tangent_tape(layers, d1s, T, flops):
     for (W, _), d1 in zip(layers, d1s):
         scale = d1.T[:, :, None]
         if T is None:
-            T = W[:, None, :] * scale
+            # C order, so that the next layer's reshape is a view
+            T = np.multiply(W[:, None, :], scale, order="C")
         else:
             n_in, n, cols = T.shape
             T = (W @ T.reshape(n_in, n * cols)).reshape(W.shape[0], n, cols)

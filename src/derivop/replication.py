@@ -13,7 +13,7 @@ import numpy as np
 
 from .bases import derivative_informed_bases
 from .datagen import generate_dataset
-from .metrics import gauss_newton_accuracies, h1_seminorm_accuracy, l2_accuracy
+from .metrics import evaluate
 from .models import Grid, PriorConfig, RDModel
 from .netop import MLPSpec, NetworkWeights, OperatorModel
 from .training import LossConfig, train
@@ -84,10 +84,8 @@ def run_study(cfg=None, losses=("l2", "h1_full"), progress=None):
             loss_cfg = LossConfig(variant=loss_name)
             model, _ = train(train_ds, model, loss_cfg, epochs=cfg.epochs,
                              batch_size=cfg.batch_size, seed=seed)
-            l2, _, _ = l2_accuracy(model, test_ds)
-            h1, _, _ = h1_seminorm_accuracy(model, test_ds)
-            gn, rgn, _, _, _ = gauss_newton_accuracies(model, test_ds)
-            record[loss_name] = {"l2": l2, "h1": h1, "gn": gn, "rgn": rgn}
+            record[loss_name] = evaluate(
+                model, test_ds, metrics=("l2", "h1", "gn", "rgn")).accuracies
             if progress is not None:
                 progress(seed, loss_name, record[loss_name])
         result.per_seed.append(record)

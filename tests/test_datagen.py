@@ -14,7 +14,7 @@ from derivop.datagen import (
     sample_seed,
     save_dataset,
 )
-from derivop.io import LoadError
+from derivop.io import LoadError, load_arrays, save_arrays
 from derivop.models import (
     Grid,
     PriorConfig,
@@ -159,6 +159,19 @@ class TestPersistence:
         raw[0] ^= 0x01
         target.write_bytes(bytes(raw))
         with pytest.raises(LoadError):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("name, bad", [("q", np.nan), ("jac_V", np.inf),
+                                           ("jac_sigma", -np.inf)])
+    def test_non_finite_values_rejected(self, tmp_path, toy_ds, name, bad):
+        # the values pass the checksum, since it is taken over what was saved
+        save_dataset(toy_ds, tmp_path / "d")
+        arrays, manifest = load_arrays(tmp_path / "d")
+        arrays[name].flat[3] = bad
+        meta = {k: v for k, v in manifest.items()
+                if k not in ("arrays", "format_version")}
+        save_arrays(tmp_path / "d", arrays, meta=meta)
+        with pytest.raises(LoadError, match=f"'{name}'"):
             load_dataset(tmp_path / "d")
 
     def test_excess_rank_rejected(self, tmp_path, toy_ds):

@@ -82,3 +82,36 @@ def test_arrays_stored_little_endian_row_major(tmp_path):
     save_arrays(tmp_path / "d", {"a": a}, meta={})
     raw = (Path(tmp_path) / "d" / "a.bin").read_bytes()
     assert raw == a.astype("<f8").tobytes(order="C")
+
+
+def test_overwrite_leaves_no_stale_files(tmp_path, arrays):
+    save_arrays(tmp_path / "d", arrays, meta={"object": "blob"})
+    save_arrays(tmp_path / "d", {"a": arrays["a"]}, meta={"object": "blob"})
+    assert sorted(f.name for f in (tmp_path / "d").iterdir()) \
+        == ["a.bin", "manifest.json"]
+    loaded, _ = load_arrays(tmp_path / "d")
+    assert set(loaded) == {"a"}
+    assert [f.name for f in tmp_path.iterdir()] == ["d"]
+
+
+def test_interrupted_save_keeps_old_copy(tmp_path, arrays, monkeypatch):
+    save_arrays(tmp_path / "d", arrays, meta={"object": "old"})
+    writes = []
+    real_write = Path.write_bytes
+
+    def failing_write(self, data):
+        writes.append(self.name)
+        if len(writes) == 2:
+            raise OSError("disk full")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_arrays(tmp_path / "d", {k: 2 * v for k, v in arrays.items()},
+                    meta={"object": "new"})
+    monkeypatch.undo()
+    loaded, manifest = load_arrays(tmp_path / "d")
+    assert manifest["object"] == "old"
+    for name in arrays:
+        np.testing.assert_array_equal(loaded[name], arrays[name])
+    assert [f.name for f in tmp_path.iterdir()] == ["d"]

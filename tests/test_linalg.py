@@ -1,9 +1,7 @@
-"""Kernels: randomized SVD, orthogonal Frobenius splits, top-k eigenpairs."""
+"""Kernels: randomized SVD and top-k eigenpairs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from derivop.linalg import (
     CountingOperator,
@@ -11,7 +9,6 @@ from derivop.linalg import (
     TruncatedJacobian,
     dense_operator,
     fix_signs,
-    frobenius_orthogonal_split,
     randomized_svd,
     symmetric_eig_topk,
 )
@@ -144,52 +141,6 @@ class TestTruncatedJacobian:
         with pytest.raises(ValueError):
             TruncatedJacobian(U=2 * U, sigma=np.array([2.0, 1.0]),
                               V=V).validate()
-
-
-class TestFrobeniusSplit:
-    def test_identity_single_axis(self):
-        inside, outside = frobenius_orthogonal_split(
-            np.eye(2), np.array([[1.0], [0.0]]), side="right")
-        assert inside == pytest.approx(1.0)
-        assert outside == pytest.approx(1.0)
-
-    def test_complete_basis_captures_everything(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((5, 5))
-        Q = random_orthonormal(5, 5, rng)
-        inside, outside = frobenius_orthogonal_split(A, Q, side="right")
-        assert inside == pytest.approx(np.sum(A**2), rel=1e-12)
-        assert outside == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            frobenius_orthogonal_split(np.eye(3), 2 * np.eye(3)[:, :1])
-        with pytest.raises(ValueError):
-            frobenius_orthogonal_split(np.eye(3), np.eye(3), side="up")
-
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 10_000),
-           nrows=st.integers(2, 8), ncols=st.integers(2, 8),
-           side=st.sampled_from(["left", "right"]))
-    def test_pythagorean_identity(self, seed, nrows, ncols, side):
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((nrows, ncols))
-        dim = ncols if side == "right" else nrows
-        k = int(rng.integers(1, dim + 1))
-        Q = random_orthonormal(dim, k, rng)
-        inside, outside = frobenius_orthogonal_split(A, Q, side=side)
-        total = float(np.sum(A**2))
-        assert inside + outside == pytest.approx(total, rel=1e-12)
-
-    def test_matches_dense_projection(self):
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((6, 4))
-        Q = random_orthonormal(4, 2, rng)
-        inside, outside = frobenius_orthogonal_split(A, Q, side="right")
-        P = Q @ Q.T
-        assert inside == pytest.approx(np.sum((A @ P) ** 2), rel=1e-12)
-        assert outside == pytest.approx(np.sum((A @ (np.eye(4) - P)) ** 2),
-                                        rel=1e-12)
 
 
 class TestSymmetricEig:

@@ -9,6 +9,7 @@ from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, generate_dataset
 from derivop.linalg import TruncatedJacobian
 from derivop.metrics import (
+    _BLOCK_ROWS,
     evaluate,
     gauss_newton_accuracies,
     gradient_accuracy,
@@ -25,6 +26,7 @@ from derivop.netop import (
     OperatorModel,
     forward,
     full_space_jacobian,
+    parametric_jacobian,
 )
 
 
@@ -63,6 +65,74 @@ class ZeroModel:
 
     def jacobian(self, m):
         return np.zeros((self.d_q, self.d_m))
+
+
+def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
+    """Per-sample reference: the loops the batched metrics replaced.
+
+    Returns name -> (per-sample ratios, skip count) for h1, grad, gn, rgn.
+    Reduced-basis models use the factored h1 and GN expansions; other
+    models form the dense d_Q x d_M residual and the d_M x d_M GN Hessians.
+    """
+    reduced = isinstance(model, OperatorModel) \
+        and model.kind == "reduced_basis"
+
+    def jac_full(m):
+        if isinstance(model, OperatorModel):
+            return full_space_jacobian(model, m)
+        return model.jacobian(m)
+
+    preds = forward(model, ds.m) if isinstance(model, OperatorModel) \
+        else model.predict(ds.m)
+    std = noise_std(ds, noise_pct)
+    rng = np.random.default_rng(seed)
+    ratios = {name: [] for name in ("h1", "grad", "gn", "rgn")}
+    skipped = dict.fromkeys(ratios, 0)
+    for i in range(ds.n_samples):
+        U, s, V = ds.jac_u[i], ds.jac_sigma[i], ds.jac_v[i]
+        if reduced:
+            bases = model.bases
+            J = parametric_jacobian(model, ds.m[i])
+            mid = (U.T @ bases.phi) @ J @ (bases.psi.T @ V)
+            h1_err2 = max(float(np.sum(s**2))
+                          - 2.0 * float(np.sum(s * np.diag(mid)))
+                          + float(np.sum(J**2)), 0.0)
+            K = J.T @ J
+            P = V.T @ bases.psi
+            cross = float(np.sum((s[:, None] ** 2 * P) * (P @ K)))
+            gn_err2 = max(float(np.sum(s**4)) - 2.0 * cross
+                          + float(np.sum(K**2)), 0.0)
+            red_model = P @ K @ P.T
+        else:
+            Jw = jac_full(ds.m[i])
+            h1_err2 = float(np.sum(((U * s) @ V.T - Jw) ** 2))
+            H_model = Jw.T @ Jw
+            gn_err2 = float(np.sum(((V * s**2) @ V.T - H_model) ** 2))
+            red_model = V.T @ H_model @ V
+        h1_norm2, gn_norm2 = float(np.sum(s**2)), float(np.sum(s**4))
+        if h1_norm2 == 0.0:
+            skipped["h1"] += 1
+        else:
+            ratios["h1"].append(h1_err2 / h1_norm2)
+        if gn_norm2 == 0.0:
+            skipped["gn"] += 1
+            skipped["rgn"] += 1
+        else:
+            ratios["gn"].append(gn_err2 / gn_norm2)
+            ratios["rgn"].append(
+                float(np.sum((np.diag(s**2) - red_model) ** 2)) / gn_norm2)
+        jac_model = jac_full(ds.m[i])
+        for _ in range(n_misfit):
+            d = ds.q[i] + std * rng.standard_normal(ds.d_q)
+            g_true = misfit_gradient(ds.jacobian(i), ds.q[i], d, std**2)
+            g_pred = misfit_gradient(jac_model, preds[i], d, std**2)
+            denom = float(np.sum(g_true**2))
+            if denom == 0.0:
+                skipped["grad"] += 1
+            else:
+                ratios["grad"].append(
+                    float(np.sum((g_true - g_pred) ** 2)) / denom)
+    return {name: (np.array(r), skipped[name]) for name, r in ratios.items()}
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +325,14 @@ class TestGaussNewton:
         assert gn == pytest.approx(1.0, abs=1e-7)
         assert rgn == pytest.approx(1.0, abs=1e-7)
 
+    def test_exact_dense_model_scores_one_to_round_off(self, toy_ds):
+        # every term of the range(V) split is a sum of squares, so an exact
+        # model's error is round-off squared
+        gn, rgn, _, _, _ = gauss_newton_accuracies(TableModel.exact(toy_ds),
+                                                   toy_ds)
+        assert abs(gn - 1.0) <= 1e-12
+        assert abs(rgn - 1.0) <= 1e-12
+
     def test_zero_model_scores_zero(self, toy_ds):
         gn, rgn, _, _, _ = gauss_newton_accuracies(
             ZeroModel(toy_ds.d_m, toy_ds.d_q), toy_ds)
@@ -293,6 +371,97 @@ class TestGaussNewton:
             Rt, Rm = V.T @ Ht @ V, V.T @ Hm @ V
             assert red_r[i] == pytest.approx(
                 np.sum((Rt - Rm) ** 2) / np.sum(Rt**2), rel=1e-10)
+
+
+def make_model(kind, ds, seed):
+    """A generic net, a reduced-basis net, or a duck-typed table model with
+    random values and dense Jacobians, sized for ``ds``."""
+    rng = np.random.default_rng(seed)
+    if kind == "duck":
+        key = TableModel._key
+        return TableModel(
+            {key(m): rng.standard_normal(ds.d_q) for m in ds.m},
+            {key(m): rng.standard_normal((ds.d_q, ds.d_m)) for m in ds.m})
+    if kind == "generic":
+        spec = MLPSpec.dense((ds.d_m, 10, ds.d_q), init_seed=seed)
+        return OperatorModel(kind="generic", spec=spec,
+                             weights=NetworkWeights.init(spec))
+    psi, _ = np.linalg.qr(rng.standard_normal((ds.d_m, 6)))
+    phi, _ = np.linalg.qr(rng.standard_normal((ds.d_q, 5)))
+    bases = ReducedBasisPair(psi=psi, phi=phi, b=rng.standard_normal(ds.d_q))
+    spec = MLPSpec.dense((6, 9, 5), init_seed=seed)
+    return OperatorModel(kind="reduced_basis", spec=spec,
+                         weights=NetworkWeights.init(spec), bases=bases)
+
+
+@pytest.fixture(scope="module")
+def ds17():
+    ds = generate_dataset(ToyMap.default(), None, 17, rank=5, seed=9)
+    ds.jac_sigma[3] = 0.0  # a zero-norm Jacobian inside the first block
+    return ds
+
+
+KINDS = ["generic", "reduced", "duck"]
+
+
+class TestBatchedVsLoop:
+    @pytest.mark.parametrize("n", [10, 17])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_sample_reference(self, ds17, kind, n):
+        assert n % _BLOCK_ROWS != 0  # the last block is partial
+        ds = ds17.subset(np.arange(n))
+        model = make_model(kind, ds, seed=n)
+        h1 = h1_seminorm_accuracy(model, ds)
+        grad = gradient_accuracy(model, ds, seed=3, n_misfit=3)
+        gn = gauss_newton_accuracies(model, ds)
+        got = {"h1": (h1[1], h1[2]), "grad": (grad[1], grad[2]),
+               "gn": (gn[2], gn[4]), "rgn": (gn[3], gn[4])}
+        want = loop_metrics(model, ds, seed=3, n_misfit=3)
+        assert (want["h1"][1], want["grad"][1], want["gn"][1]) == (1, 3, 1)
+        for name, (ratios, skipped) in want.items():
+            assert got[name][1] == skipped
+            np.testing.assert_allclose(got[name][0], ratios, rtol=1e-12)
+        assert h1[0] == pytest.approx(1.0 - np.sqrt(np.mean(want["h1"][0])),
+                                      rel=1e-12)
+
+    def test_noise_draws_equal_per_sample_stream(self, ds17, monkeypatch):
+        draws = []
+        real_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(self._rng.standard_normal(size))
+                return draws[-1]
+
+        model = make_model("generic", ds17, 1)
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        gradient_accuracy(model, ds17, seed=6, n_misfit=3)
+        monkeypatch.undo()
+        rng = np.random.default_rng(6)
+        stream = [rng.standard_normal(ds17.d_q)
+                  for _ in range(ds17.n_samples * 3)]
+        np.testing.assert_array_equal(np.concatenate(draws, axis=None),
+                                      np.concatenate(stream))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_evaluate_matches_standalone_metrics(self, ds17, kind):
+        model = make_model(kind, ds17, seed=2)
+        report = evaluate(model, ds17, seed=4, n_misfit=2)
+        l2 = l2_accuracy(model, ds17)
+        h1 = h1_seminorm_accuracy(model, ds17)
+        grad = gradient_accuracy(model, ds17, seed=4, n_misfit=2)
+        gn = gauss_newton_accuracies(model, ds17)
+        want = {"l2": l2[:2], "h1": h1[:2], "grad": grad[:2],
+                "gn": (gn[0], gn[2]), "rgn": (gn[1], gn[3])}
+        for name, (acc, ratios) in want.items():
+            assert report.accuracies[name] == acc
+            np.testing.assert_array_equal(report.per_sample[name], ratios)
+        assert report.warnings == {"l2_skipped": l2[2], "h1_skipped": h1[2],
+                                   "grad_skipped": grad[2],
+                                   "gn_skipped": gn[4]}
 
 
 class TestTruncationBound:
