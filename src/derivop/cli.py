@@ -68,7 +68,6 @@ def build_parser():
     trn.add_argument("--ms-redraw", choices=["batch", "epoch"],
                      default="batch")
     trn.add_argument("--seed", type=int, default=0)
-    trn.add_argument("--checkpoint-every", type=int, default=None)
     trn.add_argument("--out", required=True)
 
     evl = sub.add_parser("eval", help="evaluate a trained model")
@@ -142,9 +141,7 @@ def cmd_train(args):
         spec=spec, weights=netop.NetworkWeights.init(spec), bases=pair)
     model, history = training.train(
         ds, model, cfg, epochs=args.epochs, batch_size=args.batch_size,
-        seed=args.seed, holdout=holdout, alpha=args.lr,
-        checkpoint_dir=args.out if args.checkpoint_every else None,
-        checkpoint_every=args.checkpoint_every)
+        seed=args.seed, holdout=holdout, alpha=args.lr)
     netop.save_model(model, f"{args.out}/model")
     training.write_history(history, f"{args.out}/history.jsonl")
     final = history.train_loss[-1] if history.train_loss else float("nan")

@@ -17,8 +17,6 @@ import numpy as np
 from . import io
 from .linalg import CountingOperator, TruncatedJacobian, dense_operator, randomized_svd
 from .models import (
-    PriorConfig,
-    RDModel,
     ToyMap,
     jacobian_operator,
     observe,

@@ -1,12 +1,12 @@
 """Directory-based persistence: manifest.json plus raw float64 binary arrays.
 
-Every persisted object (dataset, basis pair, network weights, checkpoints)
-uses the same convention: a directory containing ``manifest.json`` and one
-``<name>.bin`` file per array.  Arrays are little-endian 64-bit floats in
-row-major order; each file's CRC32 is recorded in the manifest so silent
-corruption turns into a load error.  A save writes a temporary sibling
-directory and swaps it into place: the directory never mixes old and new
-files, and a save that fails while writing leaves the old object as it was.
+Every persisted object (dataset, basis pair, network weights) uses the same
+convention: a directory containing ``manifest.json`` and one ``<name>.bin``
+file per array.  Arrays are little-endian 64-bit floats in row-major order;
+each file's CRC32 is recorded in the manifest so silent corruption turns
+into a load error.  A save writes a temporary sibling directory and swaps
+it into place: the directory never mixes old and new files, and a save that
+fails while writing leaves the old object as it was.
 """
 
 import json

@@ -2,7 +2,7 @@
 and symmetric top-k eigendecomposition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

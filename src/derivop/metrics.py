@@ -103,36 +103,30 @@ def l2_accuracy(model, test_ds):
     return _accuracy(ratios), ratios, skipped
 
 
-def _h1_error2(U, s, V, J, bases=None):
-    """||U S V^T - J||_F^2 for a block of dense Jacobians, or of latent ones
-    lifted to Phi J Psi^T when ``bases`` is given."""
-    if bases is not None:
-        J = bases.phi @ J @ bases.psi.T
+def _h1_error2(U, s, V, J):
+    """||U S V^T - J||_F^2 for a block of dense Jacobians."""
     resid = (U * s[:, None, :]) @ V.transpose(0, 2, 1)
     resid -= J
     return _sum_squares(resid)
 
 
-def h1_seminorm_accuracy(model, test_ds, factored=None, model_jac=None):
+def h1_seminorm_accuracy(model, test_ds, model_jac=None):
     """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2).
 
     ``model_jac`` holds the stacked model Jacobians of ``_model_jacobians``;
     they are computed when it is omitted.
     """
-    if factored is None:
-        factored = _is_reduced(model)
     J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
     U, s, V = test_ds.jac_u, test_ds.jac_sigma, test_ds.jac_v
     true2 = np.sum(s**2, axis=1)
-    if factored:
+    if _is_reduced(model):
         # ||USV^T - Phi J Psi^T||^2 expanded through the factors.
         left, right = project_factors(test_ds, model.bases)
         cross = np.sum(s * np.sum(left * (J @ right), axis=1), axis=1)
         # clamp tiny negative round-off
         err2 = np.maximum(true2 - 2.0 * cross + _sum_squares(J), 0.0)
     else:
-        bases = model.bases if _is_reduced(model) else None
-        err2 = np.concatenate([_h1_error2(U[b], s[b], V[b], J[b], bases)
+        err2 = np.concatenate([_h1_error2(U[b], s[b], V[b], J[b])
                                for b in _blocks(test_ds.n_samples)])
     ratios, skipped = _skip_zero(err2, true2)
     return _accuracy(ratios), ratios, skipped

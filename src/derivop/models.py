@@ -9,7 +9,7 @@ u = 0 on the bottom edge, and zero flux on the sides.  Face diffusivities
 average e^m arithmetically from the two adjacent nodal values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -233,46 +233,28 @@ class RDModel:
         }
 
 
-def dirichlet_values(model):
-    """Data g (u = 1 on the top edge) and the mask of the Dirichlet rows."""
-    g = np.zeros(model.d_u)
-    g[-model.grid.n:] = 1.0
-    return g, _stencil(model.grid).fixed
+def _conductance(model, st, k):
+    """Face conductances 0.5 (k_p + k_q) / h^2 on the interior edges."""
+    return 0.5 * (k[st.ip] + k[st.iq]) / model.grid.h**2
 
 
 def residual(model, u, m):
-    """Discrete residual R(u, m); Dirichlet rows are u - g."""
-    grid = model.grid
-    n, h2 = grid.n, grid.h**2
-    k = np.exp(m)
-    g, fixed = dirichlet_values(model)
-    R = np.where(fixed, u - g, model.c_nl * u**3 - model.source)
-    U = u.reshape(n, n)
-    K = k.reshape(n, n)
-    flux = np.zeros((n, n))
-    # Horizontal faces (between rows i and i+1) and vertical faces.
-    for axis in (0, 1):
-        dU = np.diff(U, axis=axis)
-        Kf = 0.5 * (K[:-1] + K[1:]) if axis == 0 else 0.5 * (K[:, :-1] + K[:, 1:])
-        con = Kf * dU / h2
-        if axis == 0:
-            flux[:-1] += -con
-            flux[1:] += con
-        else:
-            flux[:, :-1] += -con
-            flux[:, 1:] += con
-    R = R + np.where(fixed, 0.0, flux.ravel())
-    return R
+    """Discrete residual R(u, m); Dirichlet rows are u - g, g = 1 on top."""
+    st = _stencil(model.grid)
+    g = np.zeros(model.d_u)
+    g[-model.grid.n:] = 1.0
+    R = np.where(st.fixed, u - g, model.c_nl * u**3 - model.source)
+    w = _conductance(model, st, np.exp(m))
+    return R + np.bincount(st.ip, weights=w * (u[st.ip] - u[st.iq]),
+                           minlength=model.d_u)
 
 
 def state_jacobian(model, u, m):
     """Sparse dR/du at (u, m)."""
     st = _stencil(model.grid)
-    p, q = st.ip, st.iq
-    k = np.exp(m)
-    w = 0.5 * (k[p] + k[q]) / model.grid.h**2
+    w = _conductance(model, st, np.exp(m))
     diag = np.where(st.fixed, 1.0, 3.0 * model.c_nl * u**2)
-    np.add.at(diag, p, w)
+    np.add.at(diag, st.ip, w)
     return st.assemble(-w, diag)
 
 

@@ -275,8 +275,9 @@ def full_space_jacobian(model, m):
 
 @dataclass(eq=False)
 class Batch:
-    """One mini-batch; ``latent`` marks m/q already in reduced coordinates,
-    ``projected`` marks jac_u/jac_v already holding Phi^T U_i / Psi^T V_i."""
+    """Training samples (a mini-batch or a whole set); ``latent`` marks m/q
+    already in reduced coordinates, ``projected`` marks jac_u/jac_v already
+    holding Phi^T U_i / Psi^T V_i."""
 
     m: np.ndarray
     q: np.ndarray
@@ -290,6 +291,12 @@ class Batch:
     @property
     def size(self):
         return self.m.shape[0]
+
+    def take(self, idx):
+        """The samples ``idx`` of this batch, with the same flags."""
+        arrays = ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
+        return replace(self, **{k: getattr(self, k)[idx] for k in arrays
+                                if getattr(self, k) is not None})
 
 
 def _ms_target(sigma, ridx, cidx):

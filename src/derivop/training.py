@@ -3,13 +3,11 @@ index sampler, a bias-corrected Adam optimizer, and the epoch/batch loop.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import io
 from .datagen import Dataset, ReducedDataset, project_factors, reduce_dataset
-from .netop import Batch, _ms_target, _ms_weight, loss_and_grad, save_model
+from .netop import Batch, _ms_target, _ms_weight, loss_and_grad
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
 
@@ -130,8 +128,9 @@ class TrainHistory:
         ]
 
 
-def _training_arrays(data, model, cfg):
-    """Pick the data representation the (model, loss) pair trains in.
+def _training_set(data, model, cfg):
+    """The whole training set as one Batch, in the representation the
+    (model, loss) pair trains in.
 
     Reduced-basis models with l2 / h1_full train in reduced coordinates
     (the projected problem has the same w-gradient); truncated variants
@@ -141,39 +140,25 @@ def _training_arrays(data, model, cfg):
     if isinstance(data, ReducedDataset):
         if not reduced_model:
             raise ValueError("reduced datasets require a reduced-basis model")
-        return {"m": data.m_r, "q": data.q_hat, "jac_r": data.jac_r,
-                "latent": True}
+        return Batch(m=data.m_r, q=data.q_hat, jac_r=data.jac_r, latent=True)
     if not isinstance(data, Dataset):
         raise ValueError(f"unsupported dataset type {type(data)!r}")
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
     if reduced_model and cfg.variant in ("l2", "h1_full"):
         red = reduce_dataset(data, model.bases)
-        return {"m": red.m_r, "q": red.q_hat, "jac_r": red.jac_r,
-                "latent": True}
-    arrays = {"m": data.m, "q": data.q, "jac_u": data.jac_u,
-              "jac_sigma": data.jac_sigma, "jac_v": data.jac_v,
-              "latent": False, "projected": reduced_model}
+        return Batch(m=red.m_r, q=red.q_hat, jac_r=red.jac_r, latent=True)
+    jac_u, jac_v = data.jac_u, data.jac_v
     if reduced_model:
-        arrays["jac_u"], arrays["jac_v"] = project_factors(data, model.bases)
-    return arrays
+        jac_u, jac_v = project_factors(data, model.bases)
+    return Batch(m=data.m, q=data.q, jac_u=jac_u, jac_sigma=data.jac_sigma,
+                 jac_v=jac_v, projected=reduced_model)
 
 
-def _make_batch(arrays, idx):
-    def take(key):
-        value = arrays.get(key)
-        return None if value is None else value[idx]
-
-    return Batch(m=arrays["m"][idx], q=arrays["q"][idx], jac_u=take("jac_u"),
-                 jac_sigma=take("jac_sigma"), jac_v=take("jac_v"),
-                 jac_r=take("jac_r"), latent=arrays["latent"],
-                 projected=arrays.get("projected", False))
-
-
-def _mean_loss(model, arrays, cfg, batch_size=256):
-    """Mean loss over arrays from ``_training_arrays`` without a gradient
-    step (holdout evaluation)."""
-    n = arrays["m"].shape[0]
+def _mean_loss(model, data, cfg, batch_size=256):
+    """Mean loss over a set from ``_training_set`` without a gradient step
+    (holdout evaluation)."""
+    n = data.size
     # MS draws add noise to a monitoring metric; use the deterministic
     # truncated penalty instead when evaluating.
     eval_cfg = cfg if cfg.variant != "h1_truncated_ms" else \
@@ -181,29 +166,27 @@ def _mean_loss(model, arrays, cfg, batch_size=256):
     total = 0.0
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        batch = _make_batch(arrays, idx)
-        loss, _ = loss_and_grad(model, batch, eval_cfg)
+        loss, _ = loss_and_grad(model, data.take(idx), eval_cfg)
         total += loss * len(idx)
     return total / n
 
 
 def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
-          holdout=None, checkpoint_dir=None, checkpoint_every=None,
-          alpha=1e-3):
+          holdout=None, alpha=1e-3):
     """Adam training loop over shuffled mini-batches.
 
     Returns (trained model, TrainHistory).  Deterministic for a fixed seed:
     the run RNG drives both the per-epoch shuffle and the MS index draws.
     """
-    arrays = _training_arrays(data, model, cfg)
-    held = None if holdout is None else _training_arrays(holdout, model, cfg)
-    n = arrays["m"].shape[0]
+    train_set = _training_set(data, model, cfg)
+    held = None if holdout is None else _training_set(holdout, model, cfg)
+    n = train_set.size
     rng = np.random.default_rng(seed)
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
     w = model.weights.flat.copy()
     history = TrainHistory(seed=seed)
-    rank = None if arrays["latent"] else arrays["jac_sigma"].shape[1] \
-        if arrays.get("jac_sigma") is not None else None
+    sigma = train_set.jac_sigma
+    rank = None if sigma is None else sigma.shape[1]
 
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -215,7 +198,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
             idx = order[start:start + batch_size]
             if cfg.variant == "h1_truncated_ms" and cfg.ms_redraw == "batch":
                 ms_idx = subsample_indices(rank, cfg.k, cfg.ms_mode, rng)
-            batch = _make_batch(arrays, idx)
+            batch = train_set.take(idx)
             current = model.with_weights(w)
             try:
                 loss, grad = loss_and_grad(current, batch, cfg, ms_idx=ms_idx)
@@ -228,22 +211,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
         history.train_loss.append(epoch_loss / n)
         history.holdout_loss.append(
             None if held is None else _mean_loss(model, held, cfg))
-        if checkpoint_dir is not None and checkpoint_every \
-                and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(model, state, history,
-                            Path(checkpoint_dir) / f"epoch_{epoch + 1:04d}")
     return model, history
-
-
-def save_checkpoint(model, state, history, dirpath):
-    dirpath = Path(dirpath)
-    save_model(model, dirpath / "model")
-    io.save_arrays(dirpath / "optimizer",
-                   {"m": state.m, "v": state.v},
-                   meta={"object": "adam_state", "step": state.step,
-                         "alpha": state.alpha, "beta1": state.beta1,
-                         "beta2": state.beta2, "eps": state.eps})
-    write_history(history, dirpath / "history.jsonl")
 
 
 def write_history(history, path):

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from derivop import datagen
 from derivop.datagen import (
     Dataset,
+    GenerationError,
     generate_dataset,
     load_dataset,
     reduce_dataset,
@@ -17,10 +19,12 @@ from derivop.datagen import (
 from derivop.io import LoadError, load_arrays, save_arrays
 from derivop.models import (
     Grid,
+    NewtonConvergenceError,
     PriorConfig,
     RDModel,
     ToyMap,
     jacobian_operator,
+    sample_prior,
     solve_state,
     toy_map,
 )
@@ -96,6 +100,25 @@ class TestGenerate:
         one = generate_dataset(model, prior, 6, rank=rank, seed=5, threads=1)
         two = generate_dataset(model, prior, 6, rank=rank, seed=5, threads=2)
         self._assert_bitwise_equal(one, two)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_newton_failure_names_its_sample(self, monkeypatch, threads):
+        grid = Grid(9)
+        model = RDModel(grid=grid)
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        bad = 3  # the parameter this sample draws makes Newton fail
+        m_bad = sample_prior(prior, np.random.default_rng(sample_seed(5, bad)))
+
+        def failing_solve(model, m):
+            if np.array_equal(m, m_bad):
+                raise NewtonConvergenceError("forced failure", [1.0])
+            return solve_state(model, m)
+
+        monkeypatch.setattr(datagen, "solve_state", failing_solve)
+        with pytest.raises(GenerationError) as info:
+            generate_dataset(model, prior, 6, rank=4, seed=5, threads=threads)
+        assert info.value.index == bad
+        assert isinstance(info.value.__cause__, NewtonConvergenceError)
 
     def test_offline_solve_count_formula(self, rd_ds):
         # rank + oversample probes, each touched twice per power round

@@ -175,14 +175,16 @@ class TestObserve:
 
 
 def loop_assembly(model, u, m, prior):
-    """Reference per-node loops for dense dR/du, dR/dm and the prior operator.
+    """Reference per-node loops for R, dense dR/du, dR/dm and the prior
+    operator.
 
-    Each row sums its diagonal from the first term over the neighbours in
-    the order (i-1, j), (i+1, j), (i, j-1), (i, j+1); the vectorized
-    assembly must reproduce these sums bitwise.
+    Each row sums its diagonal (and the residual its flux) from the first
+    term over the neighbours in the order (i-1, j), (i+1, j), (i, j-1),
+    (i, j+1); the vectorized assembly must reproduce these sums bitwise.
     """
     n, h2, d = model.grid.n, model.grid.h**2, model.d_u
     k = np.exp(m)
+    R = np.zeros(d)
     dRdu, dRdm, A = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
     for p in range(d):
         i, j = divmod(p, n)
@@ -193,21 +195,24 @@ def loop_assembly(model, u, m, prior):
             A[p, p] += prior.gamma / h2
             A[p, q] = -prior.gamma / h2
         if i in (0, n - 1):
+            R[p] = u[p] - (1.0 if i == n - 1 else 0.0)
             dRdu[p, p] = 1.0
             continue
         dRdu[p, p] = 3.0 * model.c_nl * u[p] ** 2
-        terms = []
+        terms, flux = [], 0.0
         for q in nbrs:
             kf = 0.5 * (k[p] + k[q])
             dRdu[p, p] += kf / h2
             dRdu[p, q] = -kf / h2
+            flux += kf / h2 * (u[p] - u[q])
             du = (u[p] - u[q]) / h2
             terms.append(0.5 * k[p] * du)
             dRdm[p, q] = 0.5 * k[q] * du
+        R[p] = (model.c_nl * u[p] ** 3 - model.source[p]) + flux
         dRdm[p, p] = terms[0]
         for t in terms[1:]:
             dRdm[p, p] += t
-    return dRdu, dRdm, A
+    return R, dRdu, dRdm, A
 
 
 class TestAssembly:
@@ -219,7 +224,8 @@ class TestAssembly:
         rng = np.random.default_rng(n)
         for _ in range(3):
             u, m = rng.standard_normal((2, model.d_u))
-            dRdu, dRdm, A = loop_assembly(model, u, m, prior)
+            R, dRdu, dRdm, A = loop_assembly(model, u, m, prior)
+            np.testing.assert_array_equal(residual(model, u, m), R)
             np.testing.assert_array_equal(
                 state_jacobian(model, u, m).toarray(), dRdu)
             np.testing.assert_array_equal(
