@@ -19,7 +19,6 @@ from .bases import (
 from .datagen import (
     Dataset,
     GenerationError,
-    ReducedDataset,
     generate_dataset,
     load_dataset,
     reduce_dataset,
@@ -73,7 +72,6 @@ __all__ = [
     "PriorConfig",
     "RDModel",
     "ReducedBasisPair",
-    "ReducedDataset",
     "ToyMap",
     "TrainingError",
     "TruncatedJacobian",

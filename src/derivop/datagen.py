@@ -24,6 +24,7 @@ from .models import (
     solve_state,
     toy_map,
 )
+from .netop import Batch
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -95,20 +96,6 @@ class Dataset:
             jac_v=self.jac_v[indices].copy(),
             meta=dict(self.meta, n_samples=len(indices)),
         )
-
-
-@dataclass(eq=False)
-class ReducedDataset:
-    """Dataset projected into reduced coordinates of a basis pair."""
-
-    m_r: np.ndarray  # N x rbar_M
-    q_hat: np.ndarray  # N x rbar_Q
-    jac_r: np.ndarray  # N x rbar_Q x rbar_M
-    bases: "object"  # ReducedBasisPair
-
-    @property
-    def n_samples(self):
-        return self.m_r.shape[0]
 
 
 def _forward_with_jacobian(model, m):
@@ -229,14 +216,16 @@ def project_factors(ds, bases):
 
 
 def reduce_dataset(ds, bases):
-    """Project a dataset onto a reduced basis pair.
+    """A dataset in the latent coordinates of a basis pair, as one Batch:
+    m Psi, (q - b) Phi, the projected factors Phi^T U_i and Psi^T V_i,
+    and jac_r = Phi^T (U S V^T) Psi.
 
-    jac_r = Phi^T (U S V^T) Psi is assembled from the stored factors; no
-    d_Q x d_M matrix is ever formed.  Exact when the stored rank captures
-    the full reduced SVD (the r = d_Q default).
+    jac_r is assembled from the stored factors; no d_Q x d_M matrix is
+    ever formed.  Exact when the stored rank captures the full reduced SVD
+    (the r = d_Q default).
     """
     left, right = project_factors(ds, bases)
-    m_r = ds.m @ bases.psi
-    q_hat = (ds.q - bases.b) @ bases.phi
     jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
-    return ReducedDataset(m_r=m_r, q_hat=q_hat, jac_r=jac_r, bases=bases)
+    return Batch(m=ds.m @ bases.psi, q=(ds.q - bases.b) @ bases.phi,
+                 jac_u=left, jac_sigma=ds.jac_sigma, jac_v=right, jac_r=jac_r,
+                 latent=True)

@@ -62,32 +62,45 @@ def save_arrays(dirpath, arrays, meta=None):
 def load_arrays(dirpath):
     """Load a directory written by :func:`save_arrays`.
 
-    Returns ``(arrays, manifest)``.  Raises :class:`LoadError` on version,
-    shape, size, or checksum mismatch.
+    Returns ``(arrays, manifest)``.  Raises :class:`LoadError` on an
+    unreadable or incomplete manifest, a version mismatch, an array file
+    other than ``<name>.bin`` in the directory itself, or a shape, size or
+    checksum mismatch.
     """
     dirpath = Path(dirpath)
     manifest_path = dirpath / "manifest.json"
     if not manifest_path.exists():
         raise LoadError(f"no manifest.json in {dirpath}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    version = manifest.get("format_version")
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        version = manifest.get("format_version")
+        entries = manifest["arrays"].items()
+    except (ValueError, AttributeError, KeyError) as exc:
+        raise LoadError(f"{manifest_path}: malformed manifest ({exc!r})") \
+            from exc
     if version != FORMAT_VERSION:
         raise LoadError(f"format_version {version!r} != {FORMAT_VERSION}")
     arrays = {}
-    for name, entry in manifest["arrays"].items():
+    for name, entry in entries:
         try:
-            raw = (dirpath / entry["file"]).read_bytes()
+            file, crc = entry["file"], entry["crc32"]
+            shape = tuple(map(int, entry["shape"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(f"{manifest_path}: array {name!r} entry is "
+                            f"malformed ({exc!r})") from exc
+        if file != f"{name}.bin" or Path(file).name != file:
+            raise LoadError(f"{manifest_path}: array {name!r} names file "
+                            f"{file!r}, not {name}.bin in {dirpath}")
+        try:
+            raw = (dirpath / file).read_bytes()
         except OSError as exc:
-            raise LoadError(f"{entry['file']}: {exc}") from exc
-        shape = tuple(entry["shape"])
+            raise LoadError(f"{file}: {exc}") from exc
         expected = int(np.prod(shape)) * 8
         if len(raw) != expected:
-            raise LoadError(
-                f"{entry['file']}: {len(raw)} bytes, expected {expected}"
-            )
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise LoadError(f"{entry['file']}: checksum mismatch")
+            raise LoadError(f"{file}: {len(raw)} bytes, expected {expected}")
+        if zlib.crc32(raw) != crc:
+            raise LoadError(f"{file}: checksum mismatch")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return arrays, manifest
 

@@ -191,12 +191,6 @@ def _mlp_forward(weights, X):
     return zs, d1s, ratios
 
 
-def latent_forward(model, X):
-    """Raw MLP evaluation on latent (or generic full-space) inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _mlp_forward(model.weights, X)[0][-1]
-
-
 def forward(model, m):
     """Full-space evaluation f(m); accepts a vector or a batch of rows."""
     m = np.asarray(m, dtype=float)
@@ -205,10 +199,10 @@ def forward(model, m):
     if M.shape[1] != model.d_m:
         raise ValueError(f"input dim {M.shape[1]} != d_M = {model.d_m}")
     if model.kind == "reduced_basis":
-        out = latent_forward(model, M @ model.bases.psi) @ model.bases.phi.T \
-            + model.bases.b
-    else:
-        out = latent_forward(model, M)
+        M = M @ model.bases.psi
+    out = _mlp_forward(model.weights, M)[0][-1]
+    if model.kind == "reduced_basis":
+        out = out @ model.bases.phi.T + model.bases.b
     return out[0] if single else out
 
 
@@ -275,9 +269,9 @@ def full_space_jacobian(model, m):
 
 @dataclass(eq=False)
 class Batch:
-    """Training samples (a mini-batch or a whole set); ``latent`` marks m/q
-    already in reduced coordinates, ``projected`` marks jac_u/jac_v already
-    holding Phi^T U_i / Psi^T V_i."""
+    """Training samples (a mini-batch or a whole set); ``latent`` marks a
+    batch already in reduced coordinates: m Psi, (q - b) Phi, and factors
+    Phi^T U_i, Psi^T V_i."""
 
     m: np.ndarray
     q: np.ndarray
@@ -286,7 +280,6 @@ class Batch:
     jac_v: np.ndarray = None
     jac_r: np.ndarray = None
     latent: bool = False
-    projected: bool = False
 
     @property
     def size(self):
@@ -347,7 +340,7 @@ def _penalty_terms(model, batch, cfg, ms_idx):
             if cfg.ms_rescale else None
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
-    if reduced and not batch.projected:
+    if reduced and not batch.latent:
         A = model.bases.phi.T @ A
         B = model.bases.psi.T @ B
     return A, B, C, wgt
@@ -363,9 +356,8 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     layers = weights.layers()
     nbatch = batch.size
     reduced = model.kind == "reduced_basis"
-    if (batch.latent or batch.projected) and not reduced:
-        raise ValueError("latent or projected batches require a "
-                         "reduced-basis model")
+    if batch.latent and not reduced:
+        raise ValueError("latent batches require a reduced-basis model")
     if reduced and not batch.latent:
         X = batch.m @ model.bases.psi
     else:

@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import Dataset, ReducedDataset, project_factors, reduce_dataset
+from .datagen import Dataset, reduce_dataset
 from .netop import Batch, _ms_target, _ms_weight, loss_and_grad
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
 
 
 class TrainingError(RuntimeError):
@@ -83,14 +84,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     @classmethod
-    def fresh(cls, d_w, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-7):
-        return cls(m=np.zeros(d_w), v=np.zeros(d_w), step=0, alpha=alpha,
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def fresh(cls, d_w, alpha=1e-3):
+        return cls(m=np.zeros(d_w), v=np.zeros(d_w), alpha=alpha)
 
 
 def adam_step(state, w, g):
@@ -102,14 +99,12 @@ def adam_step(state, w, g):
         bad = int(np.argmax(~np.isfinite(g)))
         raise TrainingError(f"non-finite gradient component at index {bad}")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    w_new = w - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, alpha=state.alpha,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_state, w_new
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    w_new = w - state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, step=t, alpha=state.alpha), w_new
 
 
 @dataclass
@@ -129,30 +124,17 @@ class TrainHistory:
 
 
 def _training_set(data, model, cfg):
-    """The whole training set as one Batch, in the representation the
-    (model, loss) pair trains in.
-
-    Reduced-basis models with l2 / h1_full train in reduced coordinates
-    (the projected problem has the same w-gradient); truncated variants
-    keep the full-space m and q but get the factors projected here, once.
-    """
-    reduced_model = model.kind == "reduced_basis"
-    if isinstance(data, ReducedDataset):
-        if not reduced_model:
-            raise ValueError("reduced datasets require a reduced-basis model")
-        return Batch(m=data.m_r, q=data.q_hat, jac_r=data.jac_r, latent=True)
+    """The whole training set as one Batch: latent for reduced-basis models,
+    whatever the loss (the latent problem has the same w-gradient), and
+    full-space for generic ones."""
     if not isinstance(data, Dataset):
         raise ValueError(f"unsupported dataset type {type(data)!r}")
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
-    if reduced_model and cfg.variant in ("l2", "h1_full"):
-        red = reduce_dataset(data, model.bases)
-        return Batch(m=red.m_r, q=red.q_hat, jac_r=red.jac_r, latent=True)
-    jac_u, jac_v = data.jac_u, data.jac_v
-    if reduced_model:
-        jac_u, jac_v = project_factors(data, model.bases)
-    return Batch(m=data.m, q=data.q, jac_u=jac_u, jac_sigma=data.jac_sigma,
-                 jac_v=jac_v, projected=reduced_model)
+    if model.kind == "reduced_basis":
+        return reduce_dataset(data, model.bases)
+    return Batch(m=data.m, q=data.q, jac_u=data.jac_u,
+                 jac_sigma=data.jac_sigma, jac_v=data.jac_v)
 
 
 def _mean_loss(model, data, cfg, batch_size=256):

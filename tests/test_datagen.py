@@ -228,8 +228,8 @@ class TestReduce:
         phi = np.eye(d_q)
         red = reduce_dataset(toy_ds, self._pair(psi, phi, np.zeros(d_q),
                                                 d_m, d_q))
-        np.testing.assert_allclose(red.m_r, toy_ds.m[:, :4])
-        np.testing.assert_allclose(red.q_hat, toy_ds.q)
+        np.testing.assert_allclose(red.m, toy_ds.m[:, :4])
+        np.testing.assert_allclose(red.q, toy_ds.q)
         dense0 = (toy_ds.jac_u[0] * toy_ds.jac_sigma[0]) @ toy_ds.jac_v[0].T
         np.testing.assert_allclose(red.jac_r[0], dense0[:, :4], atol=1e-12)
 
@@ -252,7 +252,7 @@ class TestReduce:
         b = toy_ds.q.mean(axis=0)
         red = reduce_dataset(toy_ds, self._pair(psi, phi, b,
                                                 toy_ds.d_m, d_q))
-        np.testing.assert_allclose(red.q_hat.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(red.q.mean(axis=0), 0.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, toy_ds):
         psi = np.eye(7)[:, :2]

@@ -1,6 +1,7 @@
 """Persistence layer: manifest + raw float64 arrays with CRC32 integrity."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,58 @@ def test_version_mismatch_rejected(tmp_path, arrays):
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = FORMAT_VERSION + 1
     manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(LoadError):
+        load_arrays(tmp_path / "d")
+
+
+def _edit_manifest(dirpath, edit):
+    manifest_path = dirpath / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def test_half_written_manifest_rejected(tmp_path, arrays):
+    save_arrays(tmp_path / "d", arrays, meta={})
+    manifest_path = tmp_path / "d" / "manifest.json"
+    text = manifest_path.read_text()
+    manifest_path.write_text(text[:len(text) // 2])
+    with pytest.raises(LoadError):
+        load_arrays(tmp_path / "d")
+
+
+def test_manifest_without_arrays_rejected(tmp_path, arrays):
+    save_arrays(tmp_path / "d", arrays, meta={})
+    _edit_manifest(tmp_path / "d", lambda m: m.pop("arrays"))
+    with pytest.raises(LoadError):
+        load_arrays(tmp_path / "d")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda entry: entry.pop("crc32"),
+    lambda entry: entry.update(shape=["seven"]),
+], ids=["no-crc32", "text-shape"])
+def test_malformed_entry_rejected(tmp_path, arrays, edit):
+    save_arrays(tmp_path / "d", arrays, meta={})
+    _edit_manifest(tmp_path / "d", lambda m: edit(m["arrays"]["b"]))
+    with pytest.raises(LoadError):
+        load_arrays(tmp_path / "d")
+
+
+@pytest.mark.parametrize("name", ["b", "../outside"])
+def test_file_outside_directory_rejected(tmp_path, arrays, name):
+    # a valid array file with a matching checksum next to the directory:
+    # only the file name check keeps the loader from reading it
+    save_arrays(tmp_path / "d", arrays, meta={})
+    raw = np.ones(7, dtype="<f8").tobytes()
+    (tmp_path / "outside.bin").write_bytes(raw)
+
+    def point_outside(manifest):
+        entry = manifest["arrays"].pop("b")
+        entry.update(file="../outside.bin", crc32=zlib.crc32(raw))
+        manifest["arrays"][name] = entry
+
+    _edit_manifest(tmp_path / "d", point_outside)
     with pytest.raises(LoadError):
         load_arrays(tmp_path / "d")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from derivop.bases import ReducedBasisPair
+from derivop.datagen import Dataset, reduce_dataset
 from derivop.netop import (
     Batch,
     MLPSpec,
@@ -411,7 +412,7 @@ class TestBatchedTapeVsLoop:
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=_cfg_id)
     @pytest.mark.parametrize("kind", ["generic", "generic_softplus_out",
-                                      "reduced_basis", "reduced_projected"])
+                                      "reduced_basis"])
     def test_full_space_batches(self, cfg, kind):
         rng = np.random.default_rng(12)
         if kind == "generic":
@@ -426,11 +427,6 @@ class TestBatchedTapeVsLoop:
         batch = batch_from_model(model, 5, rng, exact=False, rank=4)
         ms_idx = _ms_draw(cfg, 4, rng)
         want = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
-        if kind == "reduced_projected":
-            phi, psi = model.bases.phi, model.bases.psi
-            batch = Batch(m=batch.m, q=batch.q, jac_u=phi.T @ batch.jac_u,
-                          jac_sigma=batch.jac_sigma, jac_v=psi.T @ batch.jac_v,
-                          jac_r=batch.jac_r, projected=True)
         got = loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
         assert_matches_reference(got, want)
 
@@ -444,11 +440,29 @@ class TestBatchedTapeVsLoop:
         assert_matches_reference(loss_and_grad(model, batch, cfg),
                                  loop_loss_and_grad(model, batch, cfg))
 
-    def test_projected_batch_needs_reduced_model(self):
+    @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=_cfg_id)
+    def test_reduced_latent_factor_batches(self, cfg):
+        # reduce_dataset's latent batch trains to the full-space gradient;
+        # its loss lacks only the w-independent misfit of q - b off Phi
+        rng = np.random.default_rng(16)
+        model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 5, rng, exact=False)
+        ms_idx = _ms_draw(cfg, batch.jac_sigma.shape[1], rng)
+        want = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        ds = Dataset(m=batch.m, q=batch.q, jac_u=batch.jac_u,
+                     jac_sigma=batch.jac_sigma, jac_v=batch.jac_v, meta={})
+        latent = reduce_dataset(ds, model.bases)
+        loss, grad = loss_and_grad(model, latent, cfg, ms_idx=ms_idx)
+        phi, b = model.bases.phi, model.bases.b
+        off = (batch.q - b) - (batch.q - b) @ phi @ phi.T
+        assert_matches_reference((loss + np.sum(off**2) / batch.size, grad),
+                                 want)
+
+    def test_latent_batch_needs_reduced_model(self):
         rng = np.random.default_rng(14)
         model = make_generic(4, 3, (5,))
         batch = batch_from_model(model, 2, rng, exact=False)
-        batch.projected = True
+        batch.latent = True
         with pytest.raises(ValueError):
             loss_and_grad(model, batch, LossConfig(variant="h1_truncated"))
 
