@@ -129,8 +129,7 @@ def save_bases(bases, dirpath):
 
 
 def load_bases(dirpath):
-    arrays, manifest = io.load_arrays(dirpath)
-    if manifest.get("object") != "bases":
-        raise io.LoadError(f"{dirpath} does not hold a basis pair")
-    return ReducedBasisPair(psi=arrays["Psi"], phi=arrays["Phi"],
-                            b=arrays["b"], tag=manifest.get("tag", "unknown"))
+    with io.loading(dirpath, "bases") as (arrays, manifest):
+        return ReducedBasisPair(psi=arrays["Psi"], phi=arrays["Phi"],
+                                b=arrays["b"],
+                                tag=manifest.get("tag", "unknown"))

@@ -73,7 +73,7 @@ def build_parser():
     evl = sub.add_parser("eval", help="evaluate a trained model")
     evl.add_argument("--run", required=True, help="training run directory")
     evl.add_argument("--data", required=True, help="test dataset directory")
-    evl.add_argument("--metrics", default="l2,h1,grad,gn,rgn")
+    evl.add_argument("--metrics", default=",".join(metrics.METRICS))
     evl.add_argument("--noise-pct", type=float, default=0.01)
     evl.add_argument("--noise-seed", type=int, default=0)
     evl.add_argument("--n-misfit", type=int, default=4)
@@ -153,10 +153,6 @@ def cmd_eval(args):
     model = netop.load_model(f"{args.run}/model")
     ds = datagen.load_dataset(args.data)
     selected = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    known = {"l2", "h1", "grad", "gn", "rgn"}
-    unknown = set(selected) - known
-    if unknown:
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
     needs_jac = set(selected) - {"l2"}
     if needs_jac and ds.jac_sigma.size == 0:
         raise ValueError("dataset lacks Jacobian data required by "

@@ -1,5 +1,6 @@
 """Training-data generation: sample parameters, solve states, compress
-Jacobians, and persist/load the resulting datasets.
+Jacobians, and persist/load the resulting datasets.  One ``Dataset`` holds
+a generated set, a mini-batch of it, or its latent projection.
 
 With the default rank d_Q the sketch covers the whole map, so
 ``randomized_svd`` forms it exactly from d_Q adjoint actions in one block
@@ -10,7 +11,7 @@ sample index, so generation is order-independent and reproducible.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .models import (
     solve_state,
     toy_map,
 )
-from .netop import Batch
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -48,26 +48,33 @@ class GenerationError(RuntimeError):
 
 @dataclass(eq=False)
 class Dataset:
-    """N samples of (m, q, truncated Jacobian) plus problem metadata."""
+    """N samples of (m, q, truncated Jacobian) plus problem metadata; any
+    Jacobian field may be None, and ``latent`` marks a reduce_dataset result."""
 
     m: np.ndarray  # N x d_M
     q: np.ndarray  # N x d_Q
-    jac_u: np.ndarray  # N x d_Q x r
-    jac_sigma: np.ndarray  # N x r
-    jac_v: np.ndarray  # N x d_M x r
-    meta: dict
+    jac_u: np.ndarray = None  # N x d_Q x r
+    jac_sigma: np.ndarray = None  # N x r
+    jac_v: np.ndarray = None  # N x d_M x r
+    jac_r: np.ndarray = None  # N x r_Q x r_M, always latent
+    latent: bool = False
+    meta: dict = None
 
     def __post_init__(self):
         n, d_m = self.m.shape
         d_q = self.q.shape[1]
-        r = self.jac_sigma.shape[1]
-        if self.q.shape[0] != n or self.jac_u.shape != (n, d_q, r) \
-                or self.jac_sigma.shape != (n, r) or self.jac_v.shape != (n, d_m, r):
+        r = None if self.jac_sigma is None else self.jac_sigma.shape[1]
+        expected = ((self.q, (n, d_q)), (self.jac_u, (n, d_q, r)),
+                    (self.jac_sigma, (n, r)), (self.jac_v, (n, d_m, r)))
+        if any(a is not None and a.shape != shape for a, shape in expected) \
+                or (self.jac_r is not None and len(self.jac_r) != n):
             raise ValueError("inconsistent dataset array shapes")
 
     @property
     def n_samples(self):
         return self.m.shape[0]
+
+    size = n_samples
 
     @property
     def d_m(self):
@@ -87,15 +94,13 @@ class Dataset:
         )
 
     def subset(self, indices):
-        indices = np.asarray(indices)
-        return Dataset(
-            m=self.m[indices].copy(),
-            q=self.q[indices].copy(),
-            jac_u=self.jac_u[indices].copy(),
-            jac_sigma=self.jac_sigma[indices].copy(),
-            jac_v=self.jac_v[indices].copy(),
-            meta=dict(self.meta, n_samples=len(indices)),
-        )
+        """The samples ``indices`` of this set, with the same flags."""
+        rows = {k: getattr(self, k)[indices]
+                for k in ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
+                if getattr(self, k) is not None}
+        meta = self.meta if self.meta is None else \
+            dict(self.meta, n_samples=len(rows["m"]))
+        return replace(self, **rows, meta=meta)
 
 
 def _forward_with_jacobian(model, m):
@@ -172,28 +177,24 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
 
 
 def save_dataset(ds, dirpath):
-    arrays = {
-        "m": ds.m,
-        "q": ds.q,
-        "jac_U": ds.jac_u,
-        "jac_sigma": ds.jac_sigma,
-        "jac_V": ds.jac_v,
-    }
-    io.save_arrays(dirpath, arrays, meta={"object": "dataset", **ds.meta})
+    arrays = {"m": ds.m, "q": ds.q, "jac_U": ds.jac_u,
+              "jac_sigma": ds.jac_sigma, "jac_V": ds.jac_v}
+    if ds.latent or any(a is None for a in arrays.values()):
+        raise ValueError("cannot save a latent set or one without factors")
+    io.save_arrays(dirpath, arrays,
+                   meta={"object": "dataset", **(ds.meta or {})})
 
 
 def load_dataset(dirpath):
-    arrays, manifest = io.load_arrays(dirpath)
-    if manifest.get("object") != "dataset":
-        raise io.LoadError(f"{dirpath} does not hold a dataset")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise io.LoadError(f"{dirpath}: array {name!r} is not finite")
-    meta = {k: v for k, v in manifest.items()
-            if k not in ("arrays", "format_version", "object")}
-    ds = Dataset(m=arrays["m"], q=arrays["q"], jac_u=arrays["jac_U"],
-                 jac_sigma=arrays["jac_sigma"], jac_v=arrays["jac_V"],
-                 meta=meta)
+    with io.loading(dirpath, "dataset") as (arrays, manifest):
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise io.LoadError(f"{dirpath}: array {name!r} is not finite")
+        meta = {k: v for k, v in manifest.items()
+                if k not in ("arrays", "format_version", "object")}
+        ds = Dataset(m=arrays["m"], q=arrays["q"], jac_u=arrays["jac_U"],
+                     jac_sigma=arrays["jac_sigma"], jac_v=arrays["jac_V"],
+                     meta=meta)
     if meta.get("rank") is not None and meta["rank"] != ds.rank:
         raise io.LoadError(
             f"manifest rank {meta['rank']} != stored rank {ds.rank}")
@@ -216,16 +217,17 @@ def project_factors(ds, bases):
 
 
 def reduce_dataset(ds, bases):
-    """A dataset in the latent coordinates of a basis pair, as one Batch:
-    m Psi, (q - b) Phi, the projected factors Phi^T U_i and Psi^T V_i,
-    and jac_r = Phi^T (U S V^T) Psi.
+    """The set in the latent coordinates of a basis pair: m Psi,
+    (q - b) Phi, the projected factors Phi^T U_i and Psi^T V_i, and
+    jac_r = Phi^T (U S V^T) Psi.
 
     jac_r is assembled from the stored factors; no d_Q x d_M matrix is
     ever formed.  Exact when the stored rank captures the full reduced SVD
     (the r = d_Q default).
     """
+    if ds.latent:
+        raise ValueError("the dataset is already latent")
     left, right = project_factors(ds, bases)
     jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
-    return Batch(m=ds.m @ bases.psi, q=(ds.q - bases.b) @ bases.phi,
-                 jac_u=left, jac_sigma=ds.jac_sigma, jac_v=right, jac_r=jac_r,
-                 latent=True)
+    return replace(ds, m=ds.m @ bases.psi, q=(ds.q - bases.b) @ bases.phi,
+                   jac_u=left, jac_v=right, jac_r=jac_r, latent=True)

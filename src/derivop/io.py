@@ -14,6 +14,7 @@ import os
 import shutil
 import uuid
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ def load_arrays(dirpath):
             raise LoadError(f"{file}: checksum mismatch")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return arrays, manifest
+
+
+@contextmanager
+def loading(dirpath, tag):
+    """``(arrays, manifest)`` of a ``tag`` object; a wrong tag, and a
+    KeyError, ValueError or TypeError raised while building it, raise
+    :class:`LoadError`."""
+    arrays, manifest = load_arrays(dirpath)
+    if manifest.get("object") != tag:
+        raise LoadError(f"{dirpath} does not hold a {tag} object")
+    try:
+        yield arrays, manifest
+    except (KeyError, ValueError, TypeError) as exc:
+        raise LoadError(f"{dirpath}: malformed {tag} ({exc!r})") from exc
 
 
 def _json_default(obj):

@@ -26,6 +26,7 @@ from .netop import OperatorModel, forward, parametric_jacobian
 # Test rows per block: the tangent tape and the dense residuals run one
 # block at a time, so their transient memory stays bounded.
 _BLOCK_ROWS = 8
+METRICS = ("l2", "h1", "grad", "gn", "rgn")
 
 
 @dataclass
@@ -265,14 +266,17 @@ def truncation_error_bound(jac_true, jac, model_jac):
     return lhs, rhs
 
 
-def evaluate(model, test_ds, metrics=("l2", "h1", "grad", "gn", "rgn"),
-             noise_pct=0.01, seed=0, n_misfit=4, config=None):
+def evaluate(model, test_ds, metrics=METRICS, noise_pct=0.01, seed=0,
+             n_misfit=4, config=None):
     """Run the selected metrics and collect them into an EvalReport."""
+    metrics = list(metrics)
+    unknown = set(metrics) - set(METRICS)
+    if unknown:
+        raise ValueError(f"unknown metrics: {sorted(unknown)}")
     report = EvalReport(config=dict(config or {}))
     report.config.update({"noise_pct": noise_pct, "noise_seed": seed,
                           "n_misfit": n_misfit,
                           "noise_std": noise_std(test_ds, noise_pct)})
-    metrics = list(metrics)
 
     def put(name, result, skip_key=None):
         report.accuracies[name], report.per_sample[name] = result[:2]

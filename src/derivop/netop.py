@@ -19,15 +19,21 @@ runs this orientation faster than the transposed one).  The penalty
 A_i Ebar_i; it accumulates each dW_l as one GEMM over the stacked columns
 and runs in the same loop as the value-loss backward pass, into which it
 feeds its second-derivative seeds.
+
+A loss reads its samples from ``Batch``, another name of ``datagen.Dataset``:
+one container holds generated sets, mini-batches and latent sets.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from . import io
 from .bases import ReducedBasisPair
+from .datagen import Dataset
+
+Batch = Dataset
 
 
 # --- activations -------------------------------------------------------------
@@ -105,9 +111,9 @@ class NetworkWeights:
         return cls(spec, np.zeros(spec.d_w))
 
     @classmethod
-    def init(cls, spec, seed=None):
-        """Per-layer Gaussian init with variance 2 / (fan_in + fan_out)."""
-        rng = np.random.default_rng(spec.init_seed if seed is None else seed)
+    def init(cls, spec):
+        """Per-layer Gaussian init, variance 2 / (fan_in + fan_out)."""
+        rng = np.random.default_rng(spec.init_seed)
         parts = []
         for l in range(spec.num_layers):
             fan_in, fan_out = spec.widths[l], spec.widths[l + 1]
@@ -267,31 +273,6 @@ def full_space_jacobian(model, m):
 
 # --- losses -------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Batch:
-    """Training samples (a mini-batch or a whole set); ``latent`` marks a
-    batch already in reduced coordinates: m Psi, (q - b) Phi, and factors
-    Phi^T U_i, Psi^T V_i."""
-
-    m: np.ndarray
-    q: np.ndarray
-    jac_u: np.ndarray = None
-    jac_sigma: np.ndarray = None
-    jac_v: np.ndarray = None
-    jac_r: np.ndarray = None
-    latent: bool = False
-
-    @property
-    def size(self):
-        return self.m.shape[0]
-
-    def take(self, idx):
-        """The samples ``idx`` of this batch, with the same flags."""
-        arrays = ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
-        return replace(self, **{k: getattr(self, k)[idx] for k in arrays
-                                if getattr(self, k) is not None})
-
-
 def _ms_target(sigma, ridx, cidx):
     """Subsampled target U_[k]^T (U S V^T) V_[k'] for exact stored factors;
     ``sigma`` may be one sample's (r,) or a batch's (n, r)."""
@@ -308,24 +289,31 @@ def _ms_weight(r, ridx, cidx, mode):
     return np.where(diag, r / k, (r * (r - 1)) / (k * max(k - 1, 1)))
 
 
+def _unread_fields(model, variant):
+    """The Jacobian fields of a set that the loss ``variant`` of ``model``
+    never reads: l2 reads none, h1_full of a reduced-basis model reads only
+    jac_r, and every other penalty reads the factors but not jac_r."""
+    factors = ("jac_u", "jac_sigma", "jac_v")
+    if variant == "l2":
+        return (*factors, "jac_r")
+    reduced = model.kind == "reduced_basis"
+    return factors if variant == "h1_full" and reduced else ("jac_r",)
+
+
 def _penalty_terms(model, batch, cfg, ms_idx):
     """(A, B, C, wgt) of the penalties ||C_i - A_i^T J_i B_i||^2, stacked
     over the batch; None stands for an identity factor or unit weights."""
     variant = cfg.variant
     reduced = model.kind == "reduced_basis"
-    if variant == "h1_full":
-        if reduced:
-            if batch.jac_r is None:
-                raise ValueError("h1_full with a reduced model needs jac_r")
-            return None, None, batch.jac_r, None
-        if batch.jac_u is None:
-            raise ValueError("h1_full with a generic model needs jac_u/sigma/v")
-        dense = (batch.jac_u * batch.jac_sigma[:, None, :]) \
-            @ batch.jac_v.transpose(0, 2, 1)
-        return None, None, dense, None
+    if variant == "h1_full" and reduced:
+        if batch.jac_r is None:
+            raise ValueError("h1_full with a reduced model needs jac_r")
+        return None, None, batch.jac_r, None
     if batch.jac_u is None:
         raise ValueError(f"{variant} needs the stored Jacobian SVD factors")
     U, sigma, V = batch.jac_u, batch.jac_sigma, batch.jac_v
+    if variant == "h1_full":
+        return None, None, (U * sigma[:, None, :]) @ V.transpose(0, 2, 1), None
     if variant == "h1_truncated":
         A, B = U, V
         C = sigma[:, :, None] * np.eye(sigma.shape[1])
@@ -358,10 +346,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     reduced = model.kind == "reduced_basis"
     if batch.latent and not reduced:
         raise ValueError("latent batches require a reduced-basis model")
-    if reduced and not batch.latent:
-        X = batch.m @ model.bases.psi
-    else:
-        X = batch.m
+    X = batch.m @ model.bases.psi if reduced and not batch.latent else batch.m
     if X.shape[1] != weights.spec.d_in:
         raise ValueError(f"input dim {X.shape[1]} != {weights.spec.d_in}")
     zs, d1s, ratios = _mlp_forward(weights, X)
@@ -436,17 +421,15 @@ def save_model(model, dirpath):
 
 
 def load_model(dirpath):
-    arrays, manifest = io.load_arrays(dirpath)
-    if manifest.get("object") != "operator_model":
-        raise io.LoadError(f"{dirpath} does not hold an operator model")
-    spec = MLPSpec(widths=tuple(manifest["widths"]),
-                   activations=tuple(manifest["activations"]),
-                   init_seed=manifest.get("init_seed", 0))
-    weights = NetworkWeights(spec, arrays["weights"])
-    bases = None
-    if manifest["kind"] == "reduced_basis":
-        bases = ReducedBasisPair(psi=arrays["Psi"], phi=arrays["Phi"],
-                                 b=arrays["b"],
-                                 tag=manifest.get("bases_tag", "unknown"))
-    return OperatorModel(kind=manifest["kind"], spec=spec,
-                         weights=weights, bases=bases)
+    with io.loading(dirpath, "operator_model") as (arrays, manifest):
+        spec = MLPSpec(widths=tuple(manifest["widths"]),
+                       activations=tuple(manifest["activations"]),
+                       init_seed=manifest.get("init_seed", 0))
+        weights = NetworkWeights(spec, arrays["weights"])
+        bases = None
+        if manifest["kind"] == "reduced_basis":
+            bases = ReducedBasisPair(psi=arrays["Psi"], phi=arrays["Phi"],
+                                     b=arrays["b"],
+                                     tag=manifest.get("bases_tag", "unknown"))
+        return OperatorModel(kind=manifest["kind"], spec=spec,
+                             weights=weights, bases=bases)

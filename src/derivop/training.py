@@ -2,15 +2,16 @@
 index sampler, a bias-corrected Adam optimizer, and the epoch/batch loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import Dataset, reduce_dataset
-from .netop import Batch, _ms_target, _ms_weight, loss_and_grad
+from .datagen import reduce_dataset
+from .netop import _ms_target, _ms_weight, _unread_fields, loss_and_grad
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
+HOLDOUT_BATCH = 256  # rows per loss call when scoring a holdout set
 
 
 class TrainingError(RuntimeError):
@@ -124,20 +125,17 @@ class TrainHistory:
 
 
 def _training_set(data, model, cfg):
-    """The whole training set as one Batch: latent for reduced-basis models,
+    """The set as the loss reads it: latent for reduced-basis models,
     whatever the loss (the latent problem has the same w-gradient), and
-    full-space for generic ones."""
-    if not isinstance(data, Dataset):
-        raise ValueError(f"unsupported dataset type {type(data)!r}")
+    full-space for generic ones, less the fields the loss never reads."""
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
     if model.kind == "reduced_basis":
-        return reduce_dataset(data, model.bases)
-    return Batch(m=data.m, q=data.q, jac_u=data.jac_u,
-                 jac_sigma=data.jac_sigma, jac_v=data.jac_v)
+        data = reduce_dataset(data, model.bases)
+    return replace(data, **dict.fromkeys(_unread_fields(model, cfg.variant)))
 
 
-def _mean_loss(model, data, cfg, batch_size=256):
+def _mean_loss(model, data, cfg):
     """Mean loss over a set from ``_training_set`` without a gradient step
     (holdout evaluation)."""
     n = data.size
@@ -146,9 +144,9 @@ def _mean_loss(model, data, cfg, batch_size=256):
     eval_cfg = cfg if cfg.variant != "h1_truncated_ms" else \
         LossConfig(variant="h1_truncated", h1_weight=cfg.h1_weight)
     total = 0.0
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        loss, _ = loss_and_grad(model, data.take(idx), eval_cfg)
+    for start in range(0, n, HOLDOUT_BATCH):
+        idx = np.arange(start, min(start + HOLDOUT_BATCH, n))
+        loss, _ = loss_and_grad(model, data.subset(idx), eval_cfg)
         total += loss * len(idx)
     return total / n
 
@@ -167,8 +165,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
     w = model.weights.flat.copy()
     history = TrainHistory(seed=seed)
-    sigma = train_set.jac_sigma
-    rank = None if sigma is None else sigma.shape[1]
+    rank = train_set.rank if cfg.variant == "h1_truncated_ms" else None
 
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -180,7 +177,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
             idx = order[start:start + batch_size]
             if cfg.variant == "h1_truncated_ms" and cfg.ms_redraw == "batch":
                 ms_idx = subsample_indices(rank, cfg.k, cfg.ms_mode, rng)
-            batch = train_set.take(idx)
+            batch = train_set.subset(idx)
             current = model.with_weights(w)
             try:
                 loss, grad = loss_and_grad(current, batch, cfg, ms_idx=ms_idx)

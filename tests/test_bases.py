@@ -16,6 +16,7 @@ from derivop.bases import (
     save_bases,
 )
 from derivop.datagen import Dataset, generate_dataset
+from derivop.io import LoadError, load_arrays, save_arrays
 from derivop.models import ToyMap
 
 
@@ -183,6 +184,15 @@ class TestPairsAndPersistence:
         np.testing.assert_array_equal(back.phi, pair.phi)
         np.testing.assert_array_equal(back.b, pair.b)
         assert back.tag == pair.tag
+
+    def test_missing_array_rejected(self, tmp_path, toy_ds):
+        save_bases(derivative_informed_bases(toy_ds, rank_in=6, rank_out=5),
+                   tmp_path / "b")
+        arrays, manifest = load_arrays(tmp_path / "b")
+        del arrays["Psi"], manifest["arrays"]
+        save_arrays(tmp_path / "b", arrays, meta=manifest)
+        with pytest.raises(LoadError, match="Psi"):
+            load_bases(tmp_path / "b")
 
     def test_sign_convention(self, toy_ds):
         pair = derivative_informed_bases(toy_ds, rank_in=4, rank_out=3)

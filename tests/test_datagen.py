@@ -1,6 +1,7 @@
 """Dataset generation, persistence round-trips, and reduced projection."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,16 @@ class TestGenerate:
             Dataset(m=toy_ds.m, q=toy_ds.q[:-1], jac_u=toy_ds.jac_u,
                     jac_sigma=toy_ds.jac_sigma, jac_v=toy_ds.jac_v, meta={})
 
+    def test_jacobian_fields_optional(self, toy_ds):
+        values = Dataset(m=toy_ds.m, q=toy_ds.q)
+        assert values.n_samples == values.size == toy_ds.n_samples
+        # jac_r is latent whatever m is, so only its sample count is checked
+        Dataset(m=toy_ds.m, q=toy_ds.q, jac_r=np.zeros((12, 2, 3)))
+        with pytest.raises(ValueError):
+            Dataset(m=toy_ds.m, q=toy_ds.q, jac_r=np.zeros((11, 2, 3)))
+        with pytest.raises(ValueError):
+            Dataset(m=toy_ds.m, q=toy_ds.q, jac_u=toy_ds.jac_u)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, rd_ds):
@@ -205,6 +216,26 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(LoadError):
             load_dataset(tmp_path / "d")
+
+    def test_missing_array_rejected(self, tmp_path, toy_ds):
+        save_dataset(toy_ds, tmp_path / "d")
+        arrays, manifest = load_arrays(tmp_path / "d")
+        del arrays["jac_V"], manifest["arrays"]
+        save_arrays(tmp_path / "d", arrays, meta=manifest)
+        with pytest.raises(LoadError, match="jac_V"):
+            load_dataset(tmp_path / "d")
+
+    def test_latent_set_not_saved(self, tmp_path, toy_ds):
+        pair = TestReduce._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
+                                np.zeros(toy_ds.d_q), None, None)
+        with pytest.raises(ValueError):
+            save_dataset(reduce_dataset(toy_ds, pair), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_set_without_factors_not_saved(self, tmp_path, toy_ds):
+        with pytest.raises(ValueError):
+            save_dataset(replace(toy_ds, jac_v=None), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_wrong_object_kind_rejected(self, tmp_path, toy_ds):
         save_dataset(toy_ds, tmp_path / "d")
@@ -262,8 +293,27 @@ class TestReduce:
                                               np.zeros(toy_ds.d_q), 7,
                                               toy_ds.d_q))
 
+    def test_latent_set_rejected(self, toy_ds):
+        # square bases pass the dimension check on a latent set, whose q
+        # would then have b subtracted twice
+        d_m, d_q = toy_ds.d_m, toy_ds.d_q
+        pair = self._pair(np.eye(d_m), np.eye(d_q), np.ones(d_q), d_m, d_q)
+        latent = reduce_dataset(toy_ds, pair)
+        with pytest.raises(ValueError, match="latent"):
+            reduce_dataset(latent, pair)
+
     def test_subset_preserves_samples(self, toy_ds):
         sub = toy_ds.subset([2, 0, 5])
         np.testing.assert_array_equal(sub.m[0], toy_ds.m[2])
         np.testing.assert_array_equal(sub.q[2], toy_ds.q[5])
         assert sub.n_samples == 3
+        assert sub.meta["n_samples"] == 3 and toy_ds.meta["n_samples"] == 12
+
+    def test_subset_of_latent_set_stays_latent(self, toy_ds):
+        pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
+                          np.zeros(toy_ds.d_q), None, None)
+        latent = replace(reduce_dataset(toy_ds, pair), jac_u=None,
+                         jac_sigma=None, jac_v=None)
+        sub = latent.subset(np.array([3, 1]))
+        assert sub.latent and sub.jac_u is None
+        np.testing.assert_array_equal(sub.jac_r, latent.jac_r[[3, 1]])

@@ -451,6 +451,11 @@ class TestBatchedVsLoop:
                                    "grad_skipped": grad[2],
                                    "gn_skipped": gn[4]}
 
+    def test_evaluate_rejects_unknown_metrics(self, ds17):
+        model = make_model("generic", ds17, seed=2)
+        with pytest.raises(ValueError, match="'H1', 'l3'"):
+            evaluate(model, ds17, metrics=("l3", "H1"))
+
 
 class TestTruncationBound:
     def test_bound_holds_on_random_instances(self):

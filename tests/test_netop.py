@@ -2,11 +2,14 @@
 weight gradients of every loss formulation (checked against finite
 differences and against cross-formulation identities)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
+from derivop.io import LoadError
 from derivop.netop import (
     Batch,
     MLPSpec,
@@ -67,6 +70,10 @@ def batch_from_model(model, n, rng, exact=True, rank=None):
         phi, psi = model.bases.phi, model.bases.psi
         jac_r = np.stack([phi.T @ J @ psi for J in dense])
     return Batch(m=m, q=q, jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r)
+
+
+def test_batch_is_the_dataset():
+    assert Batch is Dataset
 
 
 ALL_CFGS = [
@@ -503,6 +510,21 @@ class TestPersistence:
         np.testing.assert_array_equal(back.bases.b, model.bases.b)
         m = rng.standard_normal(8)
         np.testing.assert_array_equal(forward(back, m), forward(model, m))
+
+    @pytest.mark.parametrize("widths", [None, [5, 6, 4]])
+    def test_malformed_manifest_rejected(self, tmp_path, widths):
+        # a missing key raises KeyError, widths that disagree with the
+        # stored weight vector ValueError; both must surface as LoadError
+        save_model(make_generic(5, 3, (6, 6)), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if widths is None:
+            del manifest["widths"]
+        else:
+            manifest["widths"] = widths
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(LoadError):
+            load_model(tmp_path / "m")
 
     def test_mismatched_latent_widths_rejected(self):
         rng = np.random.default_rng(11)
