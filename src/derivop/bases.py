@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .linalg import symmetric_eig_topk
+from .linalg import check_orthonormal, symmetric_eig_topk
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,13 +21,8 @@ class ReducedBasisPair:
     tag: str = "derivative-informed"
 
     def __post_init__(self):
-        for name, Q in (("psi", self.psi), ("phi", self.phi)):
-            r = Q.shape[1]
-            if r > Q.shape[0]:
-                raise ValueError(f"{name} has more columns than rows")
-            err = np.linalg.norm(Q.T @ Q - np.eye(r))
-            if err > 1e-10 * max(1.0, np.sqrt(r)):
-                raise ValueError(f"{name} not orthonormal, |QtQ - I| = {err:.3e}")
+        check_orthonormal(self.psi, "psi")
+        check_orthonormal(self.phi, "phi")
         if self.b.shape != (self.phi.shape[0],):
             raise ValueError("shift b must match the output dimension")
 

@@ -86,8 +86,6 @@ _LOSS_NAMES = {"l2": "l2", "h1full": "h1_full", "h1trunc": "h1_truncated",
 
 
 def cmd_generate(args):
-    if args.rank is not None and args.rank < 1:
-        raise ValueError("--rank must be >= 1")
     if args.problem == "toy":
         model = ToyMap.default()
         prior = None
@@ -153,10 +151,6 @@ def cmd_eval(args):
     model = netop.load_model(f"{args.run}/model")
     ds = datagen.load_dataset(args.data)
     selected = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    needs_jac = set(selected) - {"l2"}
-    if needs_jac and ds.jac_sigma.size == 0:
-        raise ValueError("dataset lacks Jacobian data required by "
-                         f"{sorted(needs_jac)}")
     config = {"run": args.run, "data": args.data, "metrics": selected}
     report = metrics.evaluate(model, ds, metrics=selected,
                               noise_pct=args.noise_pct, seed=args.noise_seed,

@@ -98,8 +98,11 @@ class Dataset:
         rows = {k: getattr(self, k)[indices]
                 for k in ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
                 if getattr(self, k) is not None}
-        meta = self.meta if self.meta is None else \
-            dict(self.meta, n_samples=len(rows["m"]))
+        meta, key = self.meta, "linearized_solves_per_sample"
+        if meta is not None:
+            meta = dict(meta, n_samples=len(rows["m"]))
+            if key in meta:
+                meta[key] = np.asarray(meta[key])[indices].tolist()
         return replace(self, **rows, meta=meta)
 
 
@@ -109,12 +112,6 @@ def _forward_with_jacobian(model, m):
         return q, dense_operator(jac)
     u = solve_state(model, m)
     return observe(model, u), jacobian_operator(model, m, u)
-
-
-def _draw_parameter(model, prior_cfg, rng):
-    if prior_cfg is None:
-        return rng.standard_normal(model.d_m)
-    return sample_prior(prior_cfg, rng)
 
 
 def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
@@ -137,7 +134,8 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
 
     def one_sample(i):
         rng = np.random.default_rng(sample_seed(seed, i))
-        m = _draw_parameter(model, prior_cfg, rng)
+        m = rng.standard_normal(model.d_m) if prior_cfg is None \
+            else sample_prior(prior_cfg, rng)
         svd_seed = int(rng.integers(1 << 63))
         try:
             q, op = _forward_with_jacobian(model, m)
@@ -198,8 +196,9 @@ def load_dataset(dirpath):
     if meta.get("rank") is not None and meta["rank"] != ds.rank:
         raise io.LoadError(
             f"manifest rank {meta['rank']} != stored rank {ds.rank}")
-    if ds.rank > min(ds.d_m, ds.d_q):
-        raise io.LoadError(f"stored rank {ds.rank} exceeds map dimensions")
+    if ds.n_samples < 1 or not 1 <= ds.rank <= min(ds.d_m, ds.d_q):
+        raise io.LoadError(f"{dirpath}: {ds.n_samples} samples of rank "
+                           f"{ds.rank} for a {ds.d_q} x {ds.d_m} map")
     return ds
 
 
@@ -217,9 +216,10 @@ def project_factors(ds, bases):
 
 
 def reduce_dataset(ds, bases):
-    """The set in the latent coordinates of a basis pair: m Psi,
-    (q - b) Phi, the projected factors Phi^T U_i and Psi^T V_i, and
-    jac_r = Phi^T (U S V^T) Psi.
+    """The set in the latent coordinates of a basis pair: m Psi and
+    (q - b) Phi; for a set with factors, also the projected factors
+    Phi^T U_i and Psi^T V_i and jac_r = Phi^T (U S V^T) Psi.  Every other
+    field passes through unchanged.
 
     jac_r is assembled from the stored factors; no d_Q x d_M matrix is
     ever formed.  Exact when the stored rank captures the full reduced SVD
@@ -227,7 +227,10 @@ def reduce_dataset(ds, bases):
     """
     if ds.latent:
         raise ValueError("the dataset is already latent")
-    left, right = project_factors(ds, bases)
-    jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
+    factors = {}
+    if ds.jac_sigma is not None:
+        left, right = project_factors(ds, bases)
+        jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
+        factors = dict(jac_u=left, jac_v=right, jac_r=jac_r)
     return replace(ds, m=ds.m @ bases.psi, q=(ds.q - bases.b) @ bases.phi,
-                   jac_u=left, jac_v=right, jac_r=jac_r, latent=True)
+                   latent=True, **factors)

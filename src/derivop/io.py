@@ -85,11 +85,14 @@ def load_arrays(dirpath):
     arrays = {}
     for name, entry in entries:
         try:
-            file, crc = entry["file"], entry["crc32"]
-            shape = tuple(map(int, entry["shape"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            file, crc, shape = entry["file"], entry["crc32"], entry["shape"]
+        except (KeyError, TypeError) as exc:
             raise LoadError(f"{manifest_path}: array {name!r} entry is "
                             f"malformed ({exc!r})") from exc
+        if not isinstance(shape, list) \
+                or not all(type(s) is int and s >= 0 for s in shape):
+            raise LoadError(f"{manifest_path}: array {name!r} shape {shape!r}"
+                            " is not a list of non-negative ints")
         if file != f"{name}.bin" or Path(file).name != file:
             raise LoadError(f"{manifest_path}: array {name!r} names file "
                             f"{file!r}, not {name}.bin in {dirpath}")

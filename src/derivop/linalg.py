@@ -69,6 +69,14 @@ class CountingOperator:
         return self.op.apply_transpose(w)
 
 
+def check_orthonormal(Q, name, tol=1e-10):
+    """Raise ValueError unless |Q^T Q - I| <= tol * max(1, sqrt(#columns))."""
+    r = Q.shape[1]
+    err = np.linalg.norm(Q.T @ Q - np.eye(r))
+    if err > tol * max(1.0, np.sqrt(r)):
+        raise ValueError(f"{name} not orthonormal, |QtQ - I| = {err:.3e}")
+
+
 @dataclass(frozen=True)
 class TruncatedJacobian:
     """Rank-r truncated SVD (U, sigma, V) of a d_Q x d_M map.
@@ -92,10 +100,8 @@ class TruncatedJacobian:
         r = self.rank
         if self.U.shape[1] != r or self.V.shape[1] != r:
             raise ValueError("inconsistent factor shapes")
-        for Q in (self.U, self.V):
-            gram_err = np.linalg.norm(Q.T @ Q - np.eye(r))
-            if gram_err > tol * max(1.0, np.sqrt(r)):
-                raise ValueError(f"non-orthonormal factor, |QtQ - I| = {gram_err:.3e}")
+        check_orthonormal(self.U, "U", tol)
+        check_orthonormal(self.V, "V", tol)
         if np.any(self.sigma < 0):
             raise ValueError("negative singular value")
         if np.any(np.diff(self.sigma) > 0):

@@ -146,21 +146,20 @@ def sample_prior(cfg, rng):
     return _prior_factor(cfg).solve(xi)
 
 
-def gaussian_bump_source(grid, centers, width=0.05, amplitude=1.0):
-    """Sum of isotropic Gaussian bumps evaluated at the grid nodes."""
+SOURCE_TICKS = np.linspace(0.2, 0.8, 5)  # bump centers, each axis
+SOURCE_WIDTH, SOURCE_AMPLITUDE = 0.05, 1.0
+
+
+def default_source(grid):
+    """25 isotropic Gaussian bumps centered on SOURCE_TICKS x SOURCE_TICKS,
+    evaluated at the grid nodes."""
     xy = grid.coords()
     s = np.zeros(grid.num_nodes)
-    for cx, cy in centers:
-        d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
-        s += amplitude * np.exp(-d2 / (2.0 * width**2))
+    for cy in SOURCE_TICKS:
+        for cx in SOURCE_TICKS:
+            d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
+            s += SOURCE_AMPLITUDE * np.exp(-d2 / (2.0 * SOURCE_WIDTH**2))
     return s
-
-
-def default_source(grid, n_side=5, width=0.05, amplitude=1.0):
-    """25 bumps on a centered n_side x n_side Cartesian grid."""
-    ticks = np.linspace(0.2, 0.8, n_side)
-    centers = [(cx, cy) for cy in ticks for cx in ticks]
-    return gaussian_bump_source(grid, centers, width=width, amplitude=amplitude)
 
 
 def lower_half_observation_nodes(grid, n_side=5):
@@ -360,10 +359,11 @@ class ToyMap:
     C: np.ndarray
 
     @classmethod
-    def default(cls, d_m=20, d_q=8, p=5, seed=TOY_MAP_SEED):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((d_q, p)) / np.sqrt(p)
-        C = rng.standard_normal((p, d_m)) / np.sqrt(d_m)
+    def default(cls):
+        """d_M = 20, d_Q = 8, inner width 5, drawn from TOY_MAP_SEED."""
+        rng = np.random.default_rng(TOY_MAP_SEED)
+        B = rng.standard_normal((8, 5)) / np.sqrt(5)
+        C = rng.standard_normal((5, 20)) / np.sqrt(20)
         return cls(B=B, C=C)
 
     @property

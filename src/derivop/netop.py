@@ -21,7 +21,10 @@ and runs in the same loop as the value-loss backward pass, into which it
 feeds its second-derivative seeds.
 
 A loss reads its samples from ``Batch``, another name of ``datagen.Dataset``:
-one container holds generated sets, mini-batches and latent sets.
+one container holds generated sets, mini-batches and latent sets.  A
+reduced-basis model's loss always reads a latent set; ``loss_and_grad``
+sends a full-space batch through ``datagen.reduce_dataset``, the one place
+that projects samples onto the bases.
 """
 
 from dataclasses import dataclass
@@ -29,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import io
+from . import datagen, io
 from .bases import ReducedBasisPair
-from .datagen import Dataset
 
-Batch = Dataset
+Batch = datagen.Dataset
 
 
 # --- activations -------------------------------------------------------------
@@ -72,10 +74,10 @@ class MLPSpec:
                 raise ValueError(f"unknown activation {a!r}")
 
     @classmethod
-    def dense(cls, widths, hidden="softplus", init_seed=0):
-        """Hidden layers use ``hidden`` activation; the output layer is linear."""
+    def dense(cls, widths, init_seed=0):
+        """Softplus hidden layers and a linear output layer."""
         widths = tuple(int(w) for w in widths)
-        acts = (hidden,) * (len(widths) - 2) + ("linear",)
+        acts = ("softplus",) * (len(widths) - 2) + ("linear",)
         return cls(widths=widths, activations=acts, init_seed=init_seed)
 
     @property
@@ -105,10 +107,6 @@ class NetworkWeights:
             raise ValueError(f"flat length {flat.shape} != d_w = {spec.d_w}")
         self.spec = spec
         self.flat = flat
-
-    @classmethod
-    def zeros(cls, spec):
-        return cls(spec, np.zeros(spec.d_w))
 
     @classmethod
     def init(cls, spec):
@@ -304,8 +302,7 @@ def _penalty_terms(model, batch, cfg, ms_idx):
     """(A, B, C, wgt) of the penalties ||C_i - A_i^T J_i B_i||^2, stacked
     over the batch; None stands for an identity factor or unit weights."""
     variant = cfg.variant
-    reduced = model.kind == "reduced_basis"
-    if variant == "h1_full" and reduced:
+    if variant == "h1_full" and batch.latent:
         if batch.jac_r is None:
             raise ValueError("h1_full with a reduced model needs jac_r")
         return None, None, batch.jac_r, None
@@ -328,35 +325,33 @@ def _penalty_terms(model, batch, cfg, ms_idx):
             if cfg.ms_rescale else None
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
-    if reduced and not batch.latent:
-        A = model.bases.phi.T @ A
-        B = model.bases.psi.T @ B
     return A, B, C, wgt
 
 
 def loss_and_grad(model, batch, cfg, ms_idx=None):
     """Batch-mean loss of the configured formulation and its exact w-gradient.
 
-    ``ms_idx`` is the (row, column) index pair drawn by the trainer for the
-    matrix-subsampled variant.
+    A reduced-basis model reads its batch in latent coordinates: a
+    full-space batch goes through ``reduce_dataset`` first, so the loss
+    omits the w-independent misfit sum_i ||(I - Phi Phi^T)(q_i - b)||^2 / n
+    and the gradient is that of the full-space loss.  ``ms_idx`` is the
+    (row, column) index pair drawn by the trainer for the matrix-subsampled
+    variant.
     """
+    if batch.latent != (model.kind == "reduced_basis"):
+        if batch.latent:
+            raise ValueError("latent batches require a reduced-basis model")
+        batch = datagen.reduce_dataset(batch, model.bases)
     weights = model.weights
     layers = weights.layers()
     nbatch = batch.size
-    reduced = model.kind == "reduced_basis"
-    if batch.latent and not reduced:
-        raise ValueError("latent batches require a reduced-basis model")
-    X = batch.m @ model.bases.psi if reduced and not batch.latent else batch.m
-    if X.shape[1] != weights.spec.d_in:
-        raise ValueError(f"input dim {X.shape[1]} != {weights.spec.d_in}")
-    zs, d1s, ratios = _mlp_forward(weights, X)
+    d_in = batch.m.shape[1]
+    if d_in != weights.spec.d_in:
+        raise ValueError(f"input dim {d_in} != {weights.spec.d_in}")
+    zs, d1s, ratios = _mlp_forward(weights, batch.m)
 
-    if reduced and not batch.latent:
-        res = zs[-1] @ model.bases.phi.T + model.bases.b - batch.q
-        seed = (2.0 / nbatch) * (res @ model.bases.phi)
-    else:
-        res = zs[-1] - batch.q
-        seed = (2.0 / nbatch) * res
+    res = zs[-1] - batch.q
+    seed = (2.0 / nbatch) * res
     loss = float(np.sum(res**2)) / nbatch
 
     H = None  # adjoint of the tangent tape, (n_l, n, cols)

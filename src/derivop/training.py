@@ -127,12 +127,14 @@ class TrainHistory:
 def _training_set(data, model, cfg):
     """The set as the loss reads it: latent for reduced-basis models,
     whatever the loss (the latent problem has the same w-gradient), and
-    full-space for generic ones, less the fields the loss never reads."""
+    full-space for generic ones, less the metadata and the fields the loss
+    never reads."""
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
     if model.kind == "reduced_basis":
         data = reduce_dataset(data, model.bases)
-    return replace(data, **dict.fromkeys(_unread_fields(model, cfg.variant)))
+    return replace(data, meta=None,
+                   **dict.fromkeys(_unread_fields(model, cfg.variant)))
 
 
 def _mean_loss(model, data, cfg):

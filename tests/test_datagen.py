@@ -217,6 +217,21 @@ class TestPersistence:
         with pytest.raises(LoadError):
             load_dataset(tmp_path / "d")
 
+    def test_empty_set_rejected(self, tmp_path, toy_ds):
+        save_dataset(toy_ds.subset([]), tmp_path / "d")
+        with pytest.raises(LoadError, match="0 samples"):
+            load_dataset(tmp_path / "d")
+
+    def test_rank_zero_rejected(self, tmp_path, toy_ds):
+        # a set without Jacobian columns gives NaN Jacobian metrics
+        empty = replace(toy_ds, jac_u=toy_ds.jac_u[:, :, :0],
+                        jac_sigma=toy_ds.jac_sigma[:, :0],
+                        jac_v=toy_ds.jac_v[:, :, :0],
+                        meta=dict(toy_ds.meta, rank=0))
+        save_dataset(empty, tmp_path / "d")
+        with pytest.raises(LoadError, match="of rank 0"):
+            load_dataset(tmp_path / "d")
+
     def test_missing_array_rejected(self, tmp_path, toy_ds):
         save_dataset(toy_ds, tmp_path / "d")
         arrays, manifest = load_arrays(tmp_path / "d")
@@ -308,6 +323,23 @@ class TestReduce:
         np.testing.assert_array_equal(sub.q[2], toy_ds.q[5])
         assert sub.n_samples == 3
         assert sub.meta["n_samples"] == 3 and toy_ds.meta["n_samples"] == 12
+
+    def test_subset_slices_solve_counts(self, toy_ds):
+        ds = replace(toy_ds, meta=dict(
+            toy_ds.meta, linearized_solves_per_sample=list(range(12))))
+        sub = ds.subset(np.array([5, 1]))
+        assert sub.meta["linearized_solves_per_sample"] == [5, 1]
+        assert len(ds.meta["linearized_solves_per_sample"]) == 12
+
+    def test_set_without_factors_keeps_jac_r(self, toy_ds):
+        pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
+                          np.zeros(toy_ds.d_q), None, None)
+        jac_r = np.ones((toy_ds.n_samples, toy_ds.d_q, 4))
+        red = reduce_dataset(Dataset(m=toy_ds.m, q=toy_ds.q, jac_r=jac_r),
+                             pair)
+        assert red.latent and red.jac_u is None and red.jac_sigma is None
+        assert red.jac_r is jac_r
+        np.testing.assert_array_equal(red.m, toy_ds.m[:, :4])
 
     def test_subset_of_latent_set_stays_latent(self, toy_ds):
         pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),

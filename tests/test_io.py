@@ -92,7 +92,10 @@ def test_manifest_without_arrays_rejected(tmp_path, arrays):
 @pytest.mark.parametrize("edit", [
     lambda entry: entry.pop("crc32"),
     lambda entry: entry.update(shape=["seven"]),
-], ids=["no-crc32", "text-shape"])
+    # these two hold 7 values, as many as the 56-byte file
+    lambda entry: entry.update(shape=[-1, -7]),
+    lambda entry: entry.update(shape="7"),
+], ids=["no-crc32", "text-shape", "negative-shape", "string-shape"])
 def test_malformed_entry_rejected(tmp_path, arrays, edit):
     save_arrays(tmp_path / "d", arrays, meta={})
     _edit_manifest(tmp_path / "d", lambda m: edit(m["arrays"]["b"]))

@@ -7,6 +7,7 @@ from derivop.linalg import (
     CountingOperator,
     LinearOperator,
     TruncatedJacobian,
+    check_orthonormal,
     dense_operator,
     fix_signs,
     randomized_svd,
@@ -141,6 +142,17 @@ class TestTruncatedJacobian:
         with pytest.raises(ValueError):
             TruncatedJacobian(U=2 * U, sigma=np.array([2.0, 1.0]),
                               V=V).validate()
+
+
+def test_check_orthonormal():
+    rng = np.random.default_rng(6)
+    Q = random_orthonormal(7, 3, rng)
+    check_orthonormal(Q, "Q")
+    with pytest.raises(ValueError, match="Q not orthonormal"):
+        check_orthonormal(Q * (1.0 + 1e-9), "Q")
+    # more columns than rows can never be orthonormal
+    with pytest.raises(ValueError, match="W not orthonormal"):
+        check_orthonormal(np.eye(2, 3), "W")
 
 
 class TestSymmetricEig:

@@ -68,8 +68,17 @@ def batch_from_model(model, n, rng, exact=True, rank=None):
     jac_r = None
     if model.kind == "reduced_basis":
         phi, psi = model.bases.phi, model.bases.psi
-        jac_r = np.stack([phi.T @ J @ psi for J in dense])
+        jac_r = np.stack([phi.T @ ((U[i] * S[i]) @ V[i].T) @ psi
+                          for i in range(n)])
     return Batch(m=m, q=q, jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r)
+
+
+def off_phi_misfit(model, batch):
+    """sum_i ||(I - Phi Phi^T)(q_i - b)||^2 / n: the w-independent part of
+    the full-space misfit that a reduced-basis model's latent loss omits."""
+    phi, b = model.bases.phi, model.bases.b
+    off = (batch.q - b) - (batch.q - b) @ phi @ phi.T
+    return float(np.sum(off**2)) / batch.size
 
 
 def test_batch_is_the_dataset():
@@ -97,7 +106,7 @@ class TestForward:
         model = make_reduced(6, 4, 3, 2, (), rng)
         spec = MLPSpec(widths=(3, 2), activations=("linear",))
         model = OperatorModel(kind="reduced_basis", spec=spec,
-                              weights=NetworkWeights.zeros(spec),
+                              weights=NetworkWeights(spec, np.zeros(spec.d_w)),
                               bases=model.bases)
         for _ in range(3):
             np.testing.assert_allclose(
@@ -245,7 +254,8 @@ class TestLossAndGrad:
                 rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(g_red))))
 
     def test_truncated_reduced_matches_dense_evaluation(self):
-        # the factored penalty equals a brute-force dense computation
+        # the factored penalty equals a brute-force dense computation; the
+        # latent misfit lacks the part of q - b off Phi
         rng = np.random.default_rng(8)
         model = make_reduced(6, 5, 4, 3, (7,), rng)
         batch = batch_from_model(model, 2, rng, exact=False)
@@ -253,6 +263,7 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad(model, batch, cfg)
         expected = float(np.mean(np.sum(
             (np.atleast_2d(forward(model, batch.m)) - batch.q) ** 2, axis=1)))
+        expected -= off_phi_misfit(model, batch)
         for i in range(batch.size):
             Jw = full_space_jacobian(model, batch.m[i])
             U, s, V = batch.jac_u[i], batch.jac_sigma[i], batch.jac_v[i]
@@ -433,9 +444,12 @@ class TestBatchedTapeVsLoop:
             model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
         batch = batch_from_model(model, 5, rng, exact=False, rank=4)
         ms_idx = _ms_draw(cfg, 4, rng)
-        want = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        loss, grad = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        if kind == "reduced_basis":
+            # the reduced batch's loss is latent
+            loss -= off_phi_misfit(model, batch)
         got = loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
-        assert_matches_reference(got, want)
+        assert_matches_reference(got, (loss, grad))
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS[:2], ids=_cfg_id)
     def test_reduced_latent_batches(self, cfg):

@@ -7,7 +7,7 @@ import pytest
 
 from derivop import training
 from derivop.bases import derivative_informed_bases
-from derivop.datagen import generate_dataset, reduce_dataset
+from derivop.datagen import Dataset, generate_dataset, reduce_dataset
 from derivop.linalg import TruncatedJacobian
 from derivop.models import ToyMap
 from derivop.netop import (
@@ -250,6 +250,17 @@ class TestTrain:
             _, hist = train(toy_ds, model, cfg, epochs=3, batch_size=16,
                             seed=2)
             assert len(hist.train_loss) == 3
+
+    def test_reduced_model_on_set_without_jacobians(self, toy_ds):
+        # l2 reads no Jacobian field, so a bare (m, q) set trains the same
+        bases = derivative_informed_bases(toy_ds, rank_in=6, rank_out=5)
+        spec = MLPSpec.dense((6, 8, 5), init_seed=0)
+        model = OperatorModel(kind="reduced_basis", spec=spec,
+                              weights=NetworkWeights.init(spec), bases=bases)
+        bare = Dataset(m=toy_ds.m, q=toy_ds.q)
+        outs = [train(ds, model, LossConfig(), epochs=2, batch_size=16,
+                      seed=2)[0].weights.flat for ds in (bare, toy_ds)]
+        np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_ms_k_exceeding_rank_rejected(self, toy_ds):
         model = self._model(toy_ds)
