@@ -218,8 +218,9 @@ def project_factors(ds, bases):
 def reduce_dataset(ds, bases):
     """The set in the latent coordinates of a basis pair: m Psi and
     (q - b) Phi; for a set with factors, also the projected factors
-    Phi^T U_i and Psi^T V_i and jac_r = Phi^T (U S V^T) Psi.  Every other
-    field passes through unchanged.
+    Phi^T U_i and Psi^T V_i and jac_r = Phi^T (U S V^T) Psi, which
+    replaces any jac_r the set carries.  Every other field passes through
+    unchanged, so a set without factors keeps its jac_r.
 
     jac_r is assembled from the stored factors; no d_Q x d_M matrix is
     ever formed.  Exact when the stored rank captures the full reduced SVD

@@ -69,11 +69,11 @@ class CountingOperator:
         return self.op.apply_transpose(w)
 
 
-def check_orthonormal(Q, name, tol=1e-10):
-    """Raise ValueError unless |Q^T Q - I| <= tol * max(1, sqrt(#columns))."""
+def check_orthonormal(Q, name):
+    """Raise ValueError unless |Q^T Q - I| <= 1e-10 * max(1, sqrt(#columns))."""
     r = Q.shape[1]
     err = np.linalg.norm(Q.T @ Q - np.eye(r))
-    if err > tol * max(1.0, np.sqrt(r)):
+    if err > 1e-10 * max(1.0, np.sqrt(r)):
         raise ValueError(f"{name} not orthonormal, |QtQ - I| = {err:.3e}")
 
 
@@ -96,12 +96,12 @@ class TruncatedJacobian:
     def as_dense(self):
         return (self.U * self.sigma) @ self.V.T
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         r = self.rank
         if self.U.shape[1] != r or self.V.shape[1] != r:
             raise ValueError("inconsistent factor shapes")
-        check_orthonormal(self.U, "U", tol)
-        check_orthonormal(self.V, "V", tol)
+        check_orthonormal(self.U, "U")
+        check_orthonormal(self.V, "V")
         if np.any(self.sigma < 0):
             raise ValueError("negative singular value")
         if np.any(np.diff(self.sigma) > 0):

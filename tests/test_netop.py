@@ -445,10 +445,15 @@ class TestBatchedTapeVsLoop:
         batch = batch_from_model(model, 5, rng, exact=False, rank=4)
         ms_idx = _ms_draw(cfg, 4, rng)
         loss, grad = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
-        if kind == "reduced_basis":
-            # the reduced batch's loss is latent
-            loss -= off_phi_misfit(model, batch)
         got = loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        if kind == "reduced_basis":
+            # the reduced batch's loss is latent: it is the loss of the set
+            # that reduce_dataset returns, without the misfit off Phi
+            loss -= off_phi_misfit(model, batch)
+            latent = reduce_dataset(batch, model.bases)
+            l_loss, l_grad = loss_and_grad(model, latent, cfg, ms_idx=ms_idx)
+            assert got[0] == l_loss
+            np.testing.assert_array_equal(got[1], l_grad)
         assert_matches_reference(got, (loss, grad))
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS[:2], ids=_cfg_id)
@@ -463,8 +468,8 @@ class TestBatchedTapeVsLoop:
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=_cfg_id)
     def test_reduced_latent_factor_batches(self, cfg):
-        # reduce_dataset's latent batch trains to the full-space gradient;
-        # its loss lacks only the w-independent misfit of q - b off Phi
+        # full-rank factors and no jac_r: reduce_dataset derives jac_r
+        # exactly, and its latent set trains to the full-space gradient
         rng = np.random.default_rng(16)
         model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
         batch = batch_from_model(model, 5, rng, exact=False)
@@ -474,9 +479,7 @@ class TestBatchedTapeVsLoop:
                      jac_sigma=batch.jac_sigma, jac_v=batch.jac_v, meta={})
         latent = reduce_dataset(ds, model.bases)
         loss, grad = loss_and_grad(model, latent, cfg, ms_idx=ms_idx)
-        phi, b = model.bases.phi, model.bases.b
-        off = (batch.q - b) - (batch.q - b) @ phi @ phi.T
-        assert_matches_reference((loss + np.sum(off**2) / batch.size, grad),
+        assert_matches_reference((loss + off_phi_misfit(model, batch), grad),
                                  want)
 
     def test_latent_batch_needs_reduced_model(self):
