@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import io
-from .linalg import CountingOperator, TruncatedJacobian, dense_operator, randomized_svd
+from .linalg import (CountingOperator, TruncatedJacobian, check_orthonormal,
+                     dense_operator, randomized_svd)
 from .models import (
     ToyMap,
     jacobian_operator,
@@ -184,6 +185,10 @@ def save_dataset(ds, dirpath):
 
 
 def load_dataset(dirpath):
+    """Load a set written by save_dataset.  Raises io.LoadError unless all
+    values are finite, there is at least one sample, the rank is in
+    1..min(d_Q, d_M) and matches the manifest, every U_i and V_i is
+    orthonormal, and every sigma_i is non-negative and descending."""
     with io.loading(dirpath, "dataset") as (arrays, manifest):
         for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
@@ -199,6 +204,14 @@ def load_dataset(dirpath):
     if ds.n_samples < 1 or not 1 <= ds.rank <= min(ds.d_m, ds.d_q):
         raise io.LoadError(f"{dirpath}: {ds.n_samples} samples of rank "
                            f"{ds.rank} for a {ds.d_q} x {ds.d_m} map")
+    try:
+        check_orthonormal(ds.jac_u, "array 'jac_U'")
+        check_orthonormal(ds.jac_v, "array 'jac_V'")
+    except ValueError as exc:
+        raise io.LoadError(f"{dirpath}: {exc}") from exc
+    if np.any(ds.jac_sigma < 0) or np.any(np.diff(ds.jac_sigma, axis=1) > 0):
+        raise io.LoadError(f"{dirpath}: array 'jac_sigma' is negative or "
+                           "not descending")
     return ds
 
 

@@ -25,9 +25,6 @@ class LinearOperator:
     def apply_transpose_mat(self, X):
         return self.apply_transpose(X)
 
-    def as_dense(self):
-        return self.apply(np.eye(self.ncols))
-
 
 def dense_operator(A):
     """Wrap a dense matrix as a LinearOperator."""
@@ -70,9 +67,11 @@ class CountingOperator:
 
 
 def check_orthonormal(Q, name):
-    """Raise ValueError unless |Q^T Q - I| <= 1e-10 * max(1, sqrt(#columns))."""
-    r = Q.shape[1]
-    err = np.linalg.norm(Q.T @ Q - np.eye(r))
+    """Raise ValueError unless |Q^T Q - I| <= 1e-10 * max(1, sqrt(#columns))
+    for the matrix Q, or for every matrix of a stack Q of shape (n, d, r)."""
+    r = Q.shape[-1]
+    gram = np.swapaxes(Q, -1, -2) @ Q - np.eye(r)
+    err = np.max(np.linalg.norm(gram, axis=(-2, -1)))
     if err > 1e-10 * max(1.0, np.sqrt(r)):
         raise ValueError(f"{name} not orthonormal, |QtQ - I| = {err:.3e}")
 
@@ -95,17 +94,6 @@ class TruncatedJacobian:
 
     def as_dense(self):
         return (self.U * self.sigma) @ self.V.T
-
-    def validate(self):
-        r = self.rank
-        if self.U.shape[1] != r or self.V.shape[1] != r:
-            raise ValueError("inconsistent factor shapes")
-        check_orthonormal(self.U, "U")
-        check_orthonormal(self.V, "V")
-        if np.any(self.sigma < 0):
-            raise ValueError("negative singular value")
-        if np.any(np.diff(self.sigma) > 0):
-            raise ValueError("singular values not descending")
 
 
 def fix_signs(U, companion=None):

@@ -133,21 +133,6 @@ def h1_seminorm_accuracy(model, test_ds, model_jac=None):
     return _accuracy(ratios), ratios, skipped
 
 
-def misfit_gradient(jac, q_pred, d, noise_var):
-    """Inverse-problem misfit gradient J^T Gamma^{-1} (q_pred - d).
-
-    ``jac`` is a TruncatedJacobian or a dense matrix; ``noise_var`` the
-    diagonal of the (positive) noise covariance, scalar or vector.
-    """
-    noise_var = np.asarray(noise_var, dtype=float)
-    if np.any(noise_var <= 0):
-        raise ValueError("noise variances must be positive")
-    weighted = (np.asarray(q_pred) - np.asarray(d)) / noise_var
-    if hasattr(jac, "sigma"):
-        return jac.V @ (jac.sigma * (jac.U.T @ weighted))
-    return np.asarray(jac).T @ weighted
-
-
 def noise_std(test_ds, noise_pct=0.01):
     """1%-of-signal noise scale: pct * RMS over the test set of |q|/sqrt(d_Q)."""
     rms = float(np.sqrt(np.mean(np.sum(test_ds.q**2, axis=1) / test_ds.d_q)))
@@ -173,7 +158,8 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4,
     noise = rng.standard_normal((test_ds.n_samples, n_misfit, test_ds.d_q))
     q = test_ds.q[:, None, :]
     d = q + std * noise
-    # misfit_gradient of the true and the model Jacobian, for every draw
+    # the misfit gradient J^T Gamma^{-1} (f - d), Gamma = var I, per draw:
+    # of the true map (f = q) and of the model
     w_true = (q - d) / var
     w_pred = (_predict(model, test_ds.m)[:, None, :] - d) / var
     g_true = ((w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]) \

@@ -18,6 +18,8 @@ from .models import Grid, PriorConfig, RDModel
 from .netop import MLPSpec, NetworkWeights, OperatorModel
 from .training import LossConfig, train
 
+STUDY_LOSSES = ("l2", "h1_full")  # value-only training against DINO
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -66,7 +68,7 @@ def make_dipnet(bases, cfg, weight_seed):
                          weights=NetworkWeights.init(spec), bases=bases)
 
 
-def run_study(cfg=None, losses=("l2", "h1_full"), progress=None):
+def run_study(cfg=None, progress=None):
     """Train one reduced-basis net per (seed, loss) and evaluate it.
 
     Returns a StudyResult whose per-seed records map loss name to the
@@ -79,7 +81,7 @@ def run_study(cfg=None, losses=("l2", "h1_full"), progress=None):
     result = StudyResult()
     for seed in cfg.weight_seeds:
         record = {}
-        for loss_name in losses:
+        for loss_name in STUDY_LOSSES:
             model = make_dipnet(bases, cfg, weight_seed=seed)
             loss_cfg = LossConfig(variant=loss_name)
             model, _ = train(train_ds, model, loss_cfg, epochs=cfg.epochs,

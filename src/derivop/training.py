@@ -129,12 +129,17 @@ def _training_set(data, model, cfg):
     whatever the loss (the latent problem has the same w-gradient), and
     full-space for generic ones, less the metadata and the fields the loss
     never reads."""
+    unread = _unread_fields(model, cfg.variant)
+    missing = [f for f in ("jac_u", "jac_sigma", "jac_v")
+               if f not in unread and getattr(data, f) is None]
+    if missing:
+        raise ValueError(f"{cfg.variant} needs the stored Jacobian SVD "
+                         f"factors; the set lacks {', '.join(missing)}")
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
     if model.kind == "reduced_basis":
         data = reduce_dataset(data, model.bases)
-    return replace(data, meta=None,
-                   **dict.fromkeys(_unread_fields(model, cfg.variant)))
+    return replace(data, meta=None, **dict.fromkeys(unread))
 
 
 def _mean_loss(model, data, cfg):

@@ -18,6 +18,7 @@ from derivop.datagen import (
     save_dataset,
 )
 from derivop.io import LoadError, load_arrays, save_arrays
+from derivop.linalg import check_orthonormal
 from derivop.models import (
     Grid,
     NewtonConvergenceError,
@@ -79,8 +80,8 @@ class TestGenerate:
             assert np.all(np.diff(ds.jac_sigma, axis=1) <= 0)
 
     def test_per_sample_factors_valid(self, rd_ds):
-        for i in range(rd_ds.n_samples):
-            rd_ds.jacobian(i).validate()
+        check_orthonormal(rd_ds.jac_u, "jac_u")
+        check_orthonormal(rd_ds.jac_v, "jac_v")
 
     @staticmethod
     def _assert_bitwise_equal(a, b):
@@ -137,7 +138,7 @@ class TestGenerate:
         assert ds.meta["linearized_solves_per_sample"] == [model.d_q] * 3
         for i in range(ds.n_samples):
             op = jacobian_operator(model, ds.m[i], solve_state(model, ds.m[i]))
-            J = op.as_dense()
+            J = op.apply(np.eye(op.ncols))
             s = np.linalg.svd(J, compute_uv=False)
             np.testing.assert_allclose(ds.jac_sigma[i], s, rtol=0,
                                        atol=1e-12 * s[0])
@@ -202,6 +203,24 @@ class TestPersistence:
         save_dataset(toy_ds, tmp_path / "d")
         arrays, manifest = load_arrays(tmp_path / "d")
         arrays[name].flat[3] = bad
+        meta = {k: v for k, v in manifest.items()
+                if k not in ("arrays", "format_version")}
+        save_arrays(tmp_path / "d", arrays, meta=meta)
+        with pytest.raises(LoadError, match=f"'{name}'"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("jac_U", lambda a: 2.0 * a),
+        ("jac_V", lambda a: 2.0 * a),
+        ("jac_sigma", lambda a: a[:, ::-1]),
+        ("jac_sigma", lambda a: a - a[:, -1:] - 1.0),  # last sigma -1
+    ], ids=["2U", "2V", "reversed_sigma", "negative_sigma"])
+    def test_invalid_factors_rejected(self, tmp_path, toy_ds, name, corrupt):
+        # the h1 and gn expansions assume orthonormal U_i, V_i and an
+        # ordered non-negative sigma_i, so a load checks every sample
+        save_dataset(toy_ds, tmp_path / "d")
+        arrays, manifest = load_arrays(tmp_path / "d")
+        arrays[name] = np.ascontiguousarray(corrupt(arrays[name]))
         meta = {k: v for k, v in manifest.items()
                 if k not in ("arrays", "format_version")}
         save_arrays(tmp_path / "d", arrays, meta=meta)

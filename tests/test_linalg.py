@@ -6,7 +6,6 @@ import pytest
 from derivop.linalg import (
     CountingOperator,
     LinearOperator,
-    TruncatedJacobian,
     check_orthonormal,
     dense_operator,
     fix_signs,
@@ -28,6 +27,13 @@ def random_low_rank(nrows, ncols, rank, rng, scale=None):
     return (U * s) @ V.T
 
 
+def assert_valid_factors(jac):
+    """U and V orthonormal, sigma non-negative and descending."""
+    check_orthonormal(jac.U, "U")
+    check_orthonormal(jac.V, "V")
+    assert np.all(jac.sigma >= 0) and np.all(np.diff(jac.sigma) <= 0)
+
+
 class TestLinearOperator:
     def test_dense_wrapper_adjoint_consistency(self):
         rng = np.random.default_rng(0)
@@ -42,7 +48,8 @@ class TestLinearOperator:
     def test_as_dense_round_trip(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((4, 7))
-        np.testing.assert_allclose(dense_operator(A).as_dense(), A)
+        op = dense_operator(A)
+        np.testing.assert_allclose(op.apply(np.eye(op.ncols)), A)
 
     def test_counting_operator_counts_columns(self):
         op = CountingOperator(dense_operator(np.ones((3, 5))))
@@ -80,7 +87,7 @@ class TestRandomizedSVD:
         np.testing.assert_allclose(jac.sigma,
                                    np.linalg.svd(A, compute_uv=False)[:4],
                                    rtol=1e-13)
-        jac.validate()
+        assert_valid_factors(jac)
 
     def test_zero_operator(self):
         jac = randomized_svd(dense_operator(np.zeros((10, 10))), rank=3,
@@ -91,8 +98,7 @@ class TestRandomizedSVD:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((12, 20))
         jac = randomized_svd(dense_operator(A), rank=6, oversample=4, seed=5)
-        jac.validate()
-        assert np.all(np.diff(jac.sigma) <= 0)
+        assert_valid_factors(jac)
 
     def test_rank_oversample_validation(self):
         op = dense_operator(np.eye(4))
@@ -129,21 +135,6 @@ class TestRandomizedSVD:
         assert np.all(jac.U[peaks, np.arange(3)] > 0)
 
 
-class TestTruncatedJacobian:
-    def test_validate_rejects_bad_factors(self):
-        rng = np.random.default_rng(5)
-        U = random_orthonormal(6, 2, rng)
-        V = random_orthonormal(9, 2, rng)
-        TruncatedJacobian(U=U, sigma=np.array([2.0, 1.0]), V=V).validate()
-        with pytest.raises(ValueError):
-            TruncatedJacobian(U=U, sigma=np.array([1.0, 2.0]), V=V).validate()
-        with pytest.raises(ValueError):
-            TruncatedJacobian(U=U, sigma=np.array([1.0, -1.0]), V=V).validate()
-        with pytest.raises(ValueError):
-            TruncatedJacobian(U=2 * U, sigma=np.array([2.0, 1.0]),
-                              V=V).validate()
-
-
 def test_check_orthonormal():
     rng = np.random.default_rng(6)
     Q = random_orthonormal(7, 3, rng)
@@ -153,6 +144,14 @@ def test_check_orthonormal():
     # more columns than rows can never be orthonormal
     with pytest.raises(ValueError, match="W not orthonormal"):
         check_orthonormal(np.eye(2, 3), "W")
+    # a stack (n, d, r) passes only if every matrix in it does
+    stack = np.stack([random_orthonormal(9, 4, rng) for _ in range(5)])
+    check_orthonormal(stack, "S")
+    for scale in (2.0, 1.0 + 1e-9):
+        bad = stack.copy()
+        bad[3] *= scale
+        with pytest.raises(ValueError, match="S not orthonormal"):
+            check_orthonormal(bad, "S")
 
 
 class TestSymmetricEig:

@@ -15,11 +15,18 @@ from derivop.metrics import (
     gradient_accuracy,
     h1_seminorm_accuracy,
     l2_accuracy,
-    misfit_gradient,
     noise_std,
     truncation_error_bound,
 )
-from derivop.models import ToyMap, toy_map
+from derivop.models import (
+    Grid,
+    PriorConfig,
+    RDModel,
+    ToyMap,
+    observe,
+    solve_state,
+    toy_map,
+)
 from derivop.netop import (
     MLPSpec,
     NetworkWeights,
@@ -123,9 +130,10 @@ def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
                 float(np.sum((np.diag(s**2) - red_model) ** 2)) / gn_norm2)
         jac_model = jac_full(ds.m[i])
         for _ in range(n_misfit):
+            # misfit gradients J^T Gamma^{-1} (f - d), Gamma = std^2 I
             d = ds.q[i] + std * rng.standard_normal(ds.d_q)
-            g_true = misfit_gradient(ds.jacobian(i), ds.q[i], d, std**2)
-            g_pred = misfit_gradient(jac_model, preds[i], d, std**2)
+            g_true = V @ (s * (U.T @ ((ds.q[i] - d) / std**2)))
+            g_pred = jac_model.T @ ((preds[i] - d) / std**2)
             denom = float(np.sum(g_true**2))
             if denom == 0.0:
                 skipped["grad"] += 1
@@ -207,49 +215,74 @@ class TestH1Accuracy:
 
 
 class TestMisfitGradient:
-    def test_zero_residual(self):
-        rng = np.random.default_rng(0)
-        jac = rng.standard_normal((4, 6))
-        d = rng.standard_normal(4)
-        np.testing.assert_array_equal(misfit_gradient(jac, d, d, 1.0),
-                                      np.zeros(6))
+    """The misfit gradients J^T Gamma^{-1} (f - d) that gradient_accuracy
+    forms, the true one from the stored factors, against dense references."""
 
     def test_rank_one_algebra(self):
-        u = np.eye(3)[:, [0]]
-        v = np.eye(5)[:, [1]]
-        jac = TruncatedJacobian(U=u, sigma=np.array([2.0]), V=v)
-        rho = 0.7
-        g = misfit_gradient(jac, rho * u[:, 0], np.zeros(3), 1.0)
-        np.testing.assert_allclose(g, 2.0 * rho * v[:, 0], atol=1e-14)
+        # J = 2 u v^T and a model that predicts q + rho u with that J: the
+        # gradient error 2 rho v / var is set against the true gradient
+        # -2 std eta_u v / var, where eta_u is the noise draw along u
+        u, v, rho = np.eye(3)[:, [0]], np.eye(5)[:, [1]], 0.7
+        q = np.array([1.0, 0.5, -0.5])
+        ds = Dataset(m=np.zeros((1, 5)), q=q[None], jac_u=u[None],
+                     jac_sigma=np.array([[2.0]]), jac_v=v[None])
+        key = ds.m[0].tobytes()
+        model = TableModel({key: q + rho * u[:, 0]}, {key: 2.0 * u @ v.T})
+        _, ratios, skipped = gradient_accuracy(model, ds, seed=3, n_misfit=4)
+        eta_u = np.random.default_rng(3).standard_normal((1, 4, 3))[0, :, 0]
+        assert skipped == 0
+        np.testing.assert_allclose(ratios, (rho / (noise_std(ds) * eta_u))**2,
+                                   rtol=1e-12)
+
+    def test_matches_dense_toy_jacobian(self, toy_ds):
+        # rank 5 is exact for the toy map, so the true gradient from the
+        # factors equals J^T (q - d) / var with the analytic J; the model
+        # predicts q + delta with that J
+        seed, n_misfit = 2, 3
+        delta = 0.1 * np.random.default_rng(9).standard_normal(toy_ds.q.shape)
+        jacs = [toy_map(ToyMap.default(), m)[1] for m in toy_ds.m]
+        keys = [TableModel._key(m) for m in toy_ds.m]
+        model = TableModel(dict(zip(keys, toy_ds.q + delta)),
+                           dict(zip(keys, jacs)))
+        _, ratios, skipped = gradient_accuracy(model, toy_ds, seed=seed,
+                                               n_misfit=n_misfit)
+        std = noise_std(toy_ds)
+        rng = np.random.default_rng(seed)
+        oracle = []
+        for i, J in enumerate(jacs):
+            for _ in range(n_misfit):
+                d = toy_ds.q[i] + std * rng.standard_normal(toy_ds.d_q)
+                g_true = J.T @ (toy_ds.q[i] - d) / std**2
+                g_pred = J.T @ (toy_ds.q[i] + delta[i] - d) / std**2
+                oracle.append(np.sum((g_pred - g_true) ** 2)
+                              / np.sum(g_true**2))
+        assert skipped == 0
+        np.testing.assert_allclose(ratios, oracle, rtol=1e-10)
 
     def test_matches_fd_of_misfit_through_rd_model(self):
-        from derivop.models import (Grid, PriorConfig, RDModel,
-                                    jacobian_operator, observe,
-                                    sample_prior, solve_state)
+        # at rank d_Q the stored factors are the exact Jacobian, so the true
+        # gradient must equal the central-difference gradient of the misfit
+        # 0.5 |F(m) - d|^2 / var, J_fd^T (F(m) - d) / var, which a model
+        # with the exact value and the central-difference Jacobian J_fd has
         grid = Grid(9)
-        model = RDModel(grid=grid)
-        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
-        rng = np.random.default_rng(1)
-        m = sample_prior(prior, rng)
-        u = solve_state(model, m)
-        q = observe(model, u)
-        d = q + 0.05 * rng.standard_normal(model.d_q)
-        var = 0.3
+        rd = RDModel(grid=grid)
+        ds = generate_dataset(rd, PriorConfig(delta=1.0, gamma=0.1, grid=grid),
+                              1, seed=1)
+        m, eps = ds.m[0], 1e-6
 
-        def misfit(mm):
-            qq = observe(model, solve_state(model, mm))
-            return 0.5 * np.sum((qq - d) ** 2) / var
+        def F(mm):
+            return observe(rd, solve_state(rd, mm))
 
-        op = jacobian_operator(model, m, u)
-        g = misfit_gradient(op.as_dense(), q, d, var)
-        eps = 1e-6
-        v = rng.standard_normal(model.d_m)
-        fd = (misfit(m + eps * v) - misfit(m - eps * v)) / (2 * eps)
-        assert abs(fd - g @ v) <= 1e-5 * max(1.0, abs(g @ v))
+        J_fd = np.column_stack([(F(m + eps * e) - F(m - eps * e)) / (2 * eps)
+                                for e in np.eye(rd.d_m)])
+        model = TableModel({m.tobytes(): ds.q[0]}, {m.tobytes(): J_fd})
+        _, ratios, skipped = gradient_accuracy(model, ds, n_misfit=4)
+        assert skipped == 0
+        assert np.sqrt(np.max(ratios)) <= 1e-5
 
-    def test_nonpositive_variance_rejected(self):
+    def test_nonpositive_variance_rejected(self, toy_ds):
         with pytest.raises(ValueError):
-            misfit_gradient(np.eye(2), np.ones(2), np.zeros(2), 0.0)
+            gradient_accuracy(TableModel.exact(toy_ds), toy_ds, noise_pct=0.0)
 
 
 class TestGradientAccuracy:
@@ -297,8 +330,8 @@ class TestGradientAccuracy:
             d = toy_ds.q[i] + std * rng.standard_normal(toy_ds.d_q)
 
             def ratio(q, p, d, Jt, Jm):
-                gt = misfit_gradient(Jt, q, d, std**2)
-                gp = misfit_gradient(Jm, p, d, std**2)
+                gt = Jt.T @ (q - d) / std**2
+                gp = Jm.T @ (p - d) / std**2
                 return np.sum((gt - gp) ** 2) / np.sum(gt**2)
 
             base = ratio(toy_ds.q[i], preds[i], d, Jt, Jm)

@@ -268,6 +268,54 @@ class TestTrain:
         with pytest.raises((ValueError, TrainingError)):
             train(toy_ds, model, cfg, epochs=1, seed=0)
 
+    @pytest.mark.parametrize("kind, variant, k", [
+        ("generic", "h1_truncated_ms", 2), ("generic", "h1_truncated", None),
+        ("reduced_basis", "h1_truncated_ms", 2)])
+    def test_set_without_factors_names_them(self, toy_ds, kind, variant, k):
+        # checked before anything reads the stored rank
+        if kind == "generic":
+            model = self._model(toy_ds)
+        else:
+            bases = derivative_informed_bases(toy_ds, rank_in=6, rank_out=5)
+            spec = MLPSpec.dense((6, 8, 5), init_seed=0)
+            model = OperatorModel(kind=kind, spec=spec,
+                                  weights=NetworkWeights.init(spec),
+                                  bases=bases)
+        cfg = LossConfig(variant=variant, k=k)
+        bare = Dataset(m=toy_ds.m, q=toy_ds.q)
+        for data, holdout in ((bare, None), (toy_ds, bare)):
+            with pytest.raises(ValueError, match="jac_u, jac_sigma, jac_v"):
+                train(data, model, cfg, epochs=1, holdout=holdout)
+
+    @pytest.mark.parametrize("redraw", ["epoch", "batch"])
+    def test_ms_redraw_schedule(self, toy_ds, monkeypatch, redraw):
+        # "epoch" draws one index pair per epoch and hands it to every batch
+        # of that epoch; "batch" draws a fresh pair for each batch
+        draws, used = [], []
+
+        def counting_draw(*args):
+            draws.append(subsample_indices(*args))
+            return draws[-1]
+
+        def recording_loss(model, batch, cfg, ms_idx=None):
+            used.append(ms_idx)
+            return loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+
+        monkeypatch.setattr(training, "subsample_indices", counting_draw)
+        monkeypatch.setattr(training, "loss_and_grad", recording_loss)
+        cfg = LossConfig(variant="h1_truncated_ms", k=2, ms_redraw=redraw)
+        epochs, per_epoch = 3, 4  # 64 samples in batches of 16
+        train(toy_ds, self._model(toy_ds), cfg, epochs=epochs, batch_size=16,
+              seed=5)
+        assert len(used) == epochs * per_epoch
+        if redraw == "epoch":
+            assert len(draws) == epochs
+            expected = [d for d in draws for _ in range(per_epoch)]
+        else:
+            assert len(draws) == epochs * per_epoch
+            expected = draws
+        assert all(u is d for u, d in zip(used, expected))
+
     def test_holdout_history_recorded(self, toy_ds):
         model = self._model(toy_ds)
         holdout = toy_ds.subset(range(8))
