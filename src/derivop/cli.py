@@ -156,7 +156,8 @@ def cmd_eval(args):
                               noise_pct=args.noise_pct, seed=args.noise_seed,
                               n_misfit=args.n_misfit, config=config)
     report.save(args.out)
-    summary = " ".join(f"{k}={v:.4f}" for k, v in report.accuracies.items())
+    summary = " ".join(f"{k}=" + ("n/a" if v is None else f"{v:.4f}")
+                       for k, v in report.accuracies.items())
     print(f"eval: {summary} -> {args.out}")
 
 

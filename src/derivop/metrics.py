@@ -3,12 +3,15 @@ Jacobian (H^1 semi-norm) accuracy, misfit-gradient accuracy, and full and
 reduced Gauss-Newton Hessian accuracies.
 
 All accuracies take the form 1 - sqrt(mean relative squared error) and may
-be negative when the surrogate is worse than predicting zero.  The model
-Jacobians at the test inputs are computed once and stacked; every metric is
-batched array algebra over them.  Reduced-basis Jacobians stay latent and
-the residuals are expanded through the stored SVD factors.  No model forms a
-d_M x d_M matrix: with JV = J V and P = J - JV V^T, the GN error of a dense J
-splits on range(V) into sums of squares whose largest product is d_Q x d_Q,
+be negative when the surrogate is worse than predicting zero; they are None
+when every sample has zero norm.  A metric reads a model only through a
+ModelOutputs record of its predictions and stacked Jacobians on the test
+set, which ``model_outputs`` builds in one pass (``evaluate`` builds it once
+for all metrics); every metric is batched array algebra over the record.
+Reduced-basis Jacobians stay latent and the residuals are expanded through
+the stored SVD factors.  No model forms a d_M x d_M matrix: with JV = J V
+and P = J - JV V^T, the GN error of a dense J splits on range(V) into sums
+of squares whose largest product is d_Q x d_Q,
 ||V S^2 V^T - J^T J||^2 = ||S^2 - JV^T JV||^2 + 2 ||P^T JV||^2 + ||P P^T||^2,
 and the first term is the reduced (rgn) error.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import project_factors
-from .netop import OperatorModel, forward, parametric_jacobian
+from .netop import forward, parametric_jacobian
 
 # Test rows per block: the tangent tape and the dense residuals run one
 # block at a time, so their transient memory stays bounded.
@@ -43,9 +46,9 @@ class EvalReport:
         dirpath.mkdir(parents=True, exist_ok=True)
         payload = {"accuracies": self.accuracies, "config": self.config,
                    "warnings": self.warnings}
-        with open(dirpath / "report.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
+        # dumps first: a non-finite value raises before the file is opened
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        (dirpath / "report.json").write_text(text, encoding="utf-8")
         for name, values in self.per_sample.items():
             with open(dirpath / f"{name}.csv", "w", newline="",
                       encoding="utf-8") as f:
@@ -55,34 +58,40 @@ class EvalReport:
                     writer.writerow([i, repr(float(v))])
 
 
-def _predict(model, M):
-    if isinstance(model, OperatorModel):
-        return forward(model, M)
-    return model.predict(M)
-
-
-def _is_reduced(model):
-    return isinstance(model, OperatorModel) and model.kind == "reduced_basis"
-
-
 def _blocks(n):
     return [slice(k, k + _BLOCK_ROWS) for k in range(0, n, _BLOCK_ROWS)]
 
 
-def _model_jacobians(model, M):
-    """Model Jacobians at the rows of M, stacked: latent r_Q x r_M for
-    reduced-basis models, dense d_Q x d_M for generic and duck-typed ones.
-    The tangent tape runs on one block of rows at a time."""
-    if not isinstance(model, OperatorModel):
-        return np.stack([model.jacobian(m) for m in M])
-    J = np.empty((len(M), model.spec.d_out, model.spec.d_in))
-    for b in _blocks(len(M)):
-        J[b] = parametric_jacobian(model, M[b])
-    return J
+@dataclass(frozen=True)
+class ModelOutputs:
+    """What the metrics read of a model on a test set: ``preds`` (n, d_Q)
+    and ``jac``, latent (n, r_Q, r_M) for a reduced-basis model, whose
+    ``bases`` pair and ``projected = project_factors(test_ds, bases)`` come
+    with it; dense (n, d_Q, d_M), with both None, otherwise."""
+
+    preds: np.ndarray
+    jac: np.ndarray
+    bases: object
+    projected: tuple
+
+
+def model_outputs(model, test_ds):
+    """The ModelOutputs of an OperatorModel on ``test_ds`` (a ModelOutputs
+    comes back unchanged); the tangent tape runs a block of rows at a time."""
+    if isinstance(model, ModelOutputs):
+        return model
+    preds = forward(model, test_ds.m)
+    jac = np.empty((test_ds.n_samples, model.spec.d_out, model.spec.d_in))
+    for b in _blocks(test_ds.n_samples):
+        jac[b] = parametric_jacobian(model, test_ds.m[b])
+    if model.kind != "reduced_basis":
+        return ModelOutputs(preds, jac, None, None)
+    return ModelOutputs(preds, jac, model.bases,
+                        project_factors(test_ds, model.bases))
 
 
 def _accuracy(ratios):
-    return 1.0 - float(np.sqrt(np.mean(ratios)))
+    return 1.0 - float(np.sqrt(np.mean(ratios))) if ratios.size else None
 
 
 def _skip_zero(err2, norm2):
@@ -97,8 +106,10 @@ def _sum_squares(A):
 
 
 def l2_accuracy(model, test_ds):
-    """1 - sqrt(mean ||q - f||^2 / ||q||^2); zero-norm samples are skipped."""
-    preds = _predict(model, test_ds.m)
+    """1 - sqrt(mean ||q - f||^2 / ||q||^2); zero-norm samples are skipped.
+    Of an OperatorModel, only ``forward`` runs."""
+    preds = model.preds if isinstance(model, ModelOutputs) \
+        else forward(model, test_ds.m)
     ratios, skipped = _skip_zero(np.sum((test_ds.q - preds) ** 2, axis=1),
                                  np.sum(test_ds.q**2, axis=1))
     return _accuracy(ratios), ratios, skipped
@@ -111,18 +122,15 @@ def _h1_error2(U, s, V, J):
     return _sum_squares(resid)
 
 
-def h1_seminorm_accuracy(model, test_ds, model_jac=None):
-    """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2).
-
-    ``model_jac`` holds the stacked model Jacobians of ``_model_jacobians``;
-    they are computed when it is omitted.
-    """
-    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
+def h1_seminorm_accuracy(model, test_ds):
+    """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2)."""
+    out = model_outputs(model, test_ds)
+    J = out.jac
     U, s, V = test_ds.jac_u, test_ds.jac_sigma, test_ds.jac_v
     true2 = np.sum(s**2, axis=1)
-    if _is_reduced(model):
+    if out.bases is not None:
         # ||USV^T - Phi J Psi^T||^2 expanded through the factors.
-        left, right = project_factors(test_ds, model.bases)
+        left, right = out.projected
         cross = np.sum(s * np.sum(left * (J @ right), axis=1), axis=1)
         # clamp tiny negative round-off
         err2 = np.maximum(true2 - 2.0 * cross + _sum_squares(J), 0.0)
@@ -139,21 +147,20 @@ def noise_std(test_ds, noise_pct=0.01):
     return noise_pct * rms
 
 
-def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4,
-                      model_jac=None):
+def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
     """Misfit-gradient accuracy averaged over synthetic noisy data draws.
 
     For each test sample, d = q + eta with eta ~ N(0, (noise_pct * RMS)^2 I);
     the true gradient uses the stored Jacobian SVD, the predicted one the
     model's values and Jacobian.  One call draws all the noise, in the
     order of a loop over samples and then draws; draws whose true gradient
-    is zero are skipped.  ``model_jac`` is as in h1_seminorm_accuracy.
+    is zero are skipped.
     """
     std = noise_std(test_ds, noise_pct)
     var = std**2
     if var <= 0:
         raise ValueError("noise variances must be positive")
-    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
+    out = model_outputs(model, test_ds)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((test_ds.n_samples, n_misfit, test_ds.d_q))
     q = test_ds.q[:, None, :]
@@ -161,13 +168,13 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4,
     # the misfit gradient J^T Gamma^{-1} (f - d), Gamma = var I, per draw:
     # of the true map (f = q) and of the model
     w_true = (q - d) / var
-    w_pred = (_predict(model, test_ds.m)[:, None, :] - d) / var
+    w_pred = (out.preds[:, None, :] - d) / var
     g_true = ((w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]) \
         @ test_ds.jac_v.transpose(0, 2, 1)
-    if _is_reduced(model):
-        g_diff = ((w_pred @ model.bases.phi) @ J) @ model.bases.psi.T
+    if out.bases is not None:
+        g_diff = ((w_pred @ out.bases.phi) @ out.jac) @ out.bases.psi.T
     else:
-        g_diff = w_pred @ J
+        g_diff = w_pred @ out.jac
     g_diff -= g_true
     ratios, skipped = _skip_zero(np.einsum("nkj,nkj->nk", g_diff, g_diff),
                                  np.einsum("nkj,nkj->nk", g_true, g_true))
@@ -199,19 +206,19 @@ def _gn_error2(s2, V, J):
                      red])
 
 
-def gauss_newton_accuracies(model, test_ds, model_jac=None):
+def gauss_newton_accuracies(model, test_ds):
     """Full and V_r-reduced Gauss-Newton Hessian accuracies.
 
     Dense model Jacobians use the orthogonal split of the module docstring;
     reduced-basis ones expand the full error through Psi^T V.
-    ``model_jac`` is as in h1_seminorm_accuracy.
     """
-    J = _model_jacobians(model, test_ds.m) if model_jac is None else model_jac
+    out = model_outputs(model, test_ds)
+    J = out.jac
     s, V = test_ds.jac_sigma, test_ds.jac_v
     s2 = s**2
     norm2 = np.sum(s**4, axis=1)  # ||V S^2 V^T||^2 = ||S^2||^2
-    if _is_reduced(model):
-        JP = J @ project_factors(test_ds, model.bases)[1]  # J Psi^T V
+    if out.bases is not None:
+        JP = J @ out.projected[1]  # J Psi^T V
         red_model = JP.transpose(0, 2, 1) @ JP
         cross = np.sum(s2 * np.diagonal(red_model, axis1=1, axis2=2), axis=1)
         # clamp tiny negative round-off
@@ -268,19 +275,18 @@ def evaluate(model, test_ds, metrics=METRICS, noise_pct=0.01, seed=0,
         report.accuracies[name], report.per_sample[name] = result[:2]
         report.warnings[skip_key or f"{name}_skipped"] = result[2]
 
+    if {"h1", "grad", "gn", "rgn"} & set(metrics):
+        model = model_outputs(model, test_ds)
     if "l2" in metrics:
         put("l2", l2_accuracy(model, test_ds))
-    jac = _model_jacobians(model, test_ds.m) \
-        if {"h1", "grad", "gn", "rgn"} & set(metrics) else None
     if "h1" in metrics:
-        put("h1", h1_seminorm_accuracy(model, test_ds, model_jac=jac))
+        put("h1", h1_seminorm_accuracy(model, test_ds))
     if "grad" in metrics:
         put("grad", gradient_accuracy(model, test_ds, noise_pct=noise_pct,
-                                      seed=seed, n_misfit=n_misfit,
-                                      model_jac=jac))
+                                      seed=seed, n_misfit=n_misfit))
     if "gn" in metrics or "rgn" in metrics:
         gn, rgn, gn_ratios, rgn_ratios, skipped = \
-            gauss_newton_accuracies(model, test_ds, model_jac=jac)
+            gauss_newton_accuracies(model, test_ds)
         if "gn" in metrics:
             put("gn", (gn, gn_ratios, skipped))
         if "rgn" in metrics:

@@ -1,10 +1,13 @@
 """End-to-end CLI contract: generate -> bases -> train -> eval."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from derivop.cli import main
+from derivop.datagen import load_dataset, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,20 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["data"] == str(pipeline / "test")
         assert "noise_std" in report["config"]
+
+    def test_all_skipped_metric_is_null(self, pipeline, run, tmp_path,
+                                        capsys):
+        # a loadable test set whose stored sigma are all 0: every sample of
+        # h1, grad, gn and rgn is skipped
+        ds = load_dataset(pipeline / "test")
+        save_dataset(dataclasses.replace(
+            ds, jac_sigma=np.zeros_like(ds.jac_sigma)), tmp_path / "flat")
+        out = tmp_path / "ev"
+        assert main(["eval", "--run", str(run), "--data",
+                     str(tmp_path / "flat"), "--out", str(out)]) == 0
+        assert "h1=n/a" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert report["accuracies"]["gn"] is None
 
     def test_unknown_metric_fails(self, pipeline, run, tmp_path):
         assert main(["eval", "--run", str(run), "--data",

@@ -1,20 +1,25 @@
 """Evaluation metrics against dense brute-force oracles."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from derivop import metrics
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, generate_dataset
 from derivop.linalg import TruncatedJacobian
 from derivop.metrics import (
     _BLOCK_ROWS,
+    EvalReport,
+    ModelOutputs,
     evaluate,
     gauss_newton_accuracies,
     gradient_accuracy,
     h1_seminorm_accuracy,
     l2_accuracy,
+    model_outputs,
     noise_std,
     truncation_error_bound,
 )
@@ -37,41 +42,21 @@ from derivop.netop import (
 )
 
 
-class TableModel:
-    """Oracle model: answers from lookup tables keyed by the input vector."""
-
-    def __init__(self, values, jacobians):
-        self._values = values
-        self._jacobians = jacobians
-
-    @staticmethod
-    def _key(m):
-        return np.asarray(m).tobytes()
-
-    @classmethod
-    def exact(cls, ds):
-        values = {cls._key(ds.m[i]): ds.q[i] for i in range(ds.n_samples)}
-        jacs = {cls._key(ds.m[i]): ds.jacobian(i).as_dense()
-                for i in range(ds.n_samples)}
-        return cls(values, jacs)
-
-    def predict(self, M):
-        M = np.atleast_2d(M)
-        return np.stack([self._values[self._key(row)] for row in M])
-
-    def jacobian(self, m):
-        return self._jacobians[self._key(m)]
+def dense(preds, jacs):
+    """Oracle model: a dense ModelOutputs record of the given predictions
+    (n, d_Q) and Jacobians (n, d_Q, d_M)."""
+    return ModelOutputs(np.asarray(preds, dtype=float),
+                        np.asarray(jacs, dtype=float), None, None)
 
 
-class ZeroModel:
-    def __init__(self, d_m, d_q):
-        self.d_m, self.d_q = d_m, d_q
+def exact(ds):
+    """The record of the true map at the rows of ``ds``, from its factors."""
+    return dense(ds.q, [ds.jacobian(i).as_dense()
+                        for i in range(ds.n_samples)])
 
-    def predict(self, M):
-        return np.zeros((np.atleast_2d(M).shape[0], self.d_q))
 
-    def jacobian(self, m):
-        return np.zeros((self.d_q, self.d_m))
+def zero(ds):
+    return dense(np.zeros_like(ds.q), np.zeros((ds.n_samples, ds.d_q, ds.d_m)))
 
 
 def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
@@ -79,18 +64,15 @@ def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
 
     Returns name -> (per-sample ratios, skip count) for h1, grad, gn, rgn.
     Reduced-basis models use the factored h1 and GN expansions; other
-    models form the dense d_Q x d_M residual and the d_M x d_M GN Hessians.
+    models and dense records form the dense d_Q x d_M residual and the
+    d_M x d_M GN Hessians.
     """
-    reduced = isinstance(model, OperatorModel) \
-        and model.kind == "reduced_basis"
-
-    def jac_full(m):
-        if isinstance(model, OperatorModel):
-            return full_space_jacobian(model, m)
-        return model.jacobian(m)
-
-    preds = forward(model, ds.m) if isinstance(model, OperatorModel) \
-        else model.predict(ds.m)
+    if isinstance(model, OperatorModel):
+        reduced = model.kind == "reduced_basis"
+        preds = forward(model, ds.m)
+        jacs = [full_space_jacobian(model, m) for m in ds.m]
+    else:
+        reduced, preds, jacs = False, model.preds, model.jac
     std = noise_std(ds, noise_pct)
     rng = np.random.default_rng(seed)
     ratios = {name: [] for name in ("h1", "grad", "gn", "rgn")}
@@ -111,7 +93,7 @@ def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
                           + float(np.sum(K**2)), 0.0)
             red_model = P @ K @ P.T
         else:
-            Jw = jac_full(ds.m[i])
+            Jw = jacs[i]
             h1_err2 = float(np.sum(((U * s) @ V.T - Jw) ** 2))
             H_model = Jw.T @ Jw
             gn_err2 = float(np.sum(((V * s**2) @ V.T - H_model) ** 2))
@@ -128,7 +110,7 @@ def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
             ratios["gn"].append(gn_err2 / gn_norm2)
             ratios["rgn"].append(
                 float(np.sum((np.diag(s**2) - red_model) ** 2)) / gn_norm2)
-        jac_model = jac_full(ds.m[i])
+        jac_model = jacs[i]
         for _ in range(n_misfit):
             # misfit gradients J^T Gamma^{-1} (f - d), Gamma = std^2 I
             d = ds.q[i] + std * rng.standard_normal(ds.d_q)
@@ -157,12 +139,12 @@ def net_model():
 
 class TestL2Accuracy:
     def test_exact_model_scores_one(self, toy_ds):
-        acc, ratios, skipped = l2_accuracy(TableModel.exact(toy_ds), toy_ds)
+        acc, ratios, skipped = l2_accuracy(exact(toy_ds), toy_ds)
         assert acc == pytest.approx(1.0)
         assert skipped == 0
 
     def test_zero_model_scores_zero(self, toy_ds):
-        acc, _, _ = l2_accuracy(ZeroModel(toy_ds.d_m, toy_ds.d_q), toy_ds)
+        acc, _, _ = l2_accuracy(zero(toy_ds), toy_ds)
         assert acc == pytest.approx(0.0)
 
     def test_hand_built_two_sample_case(self):
@@ -171,9 +153,7 @@ class TestL2Accuracy:
                      jac_u=np.zeros((2, 2, 1)), jac_sigma=np.zeros((2, 1)),
                      jac_v=np.zeros((2, 3, 1)), meta={})
         preds = np.array([[3.0, 3.0], [1.0, 2.0]])
-        model = TableModel({ds.m[i].tobytes(): preds[i] for i in range(2)},
-                           {})
-        acc, ratios, _ = l2_accuracy(model, ds)
+        acc, ratios, _ = l2_accuracy(dense(preds, np.zeros((2, 2, 3))), ds)
         # per-sample relative squared errors: 1/25 and 1/4
         np.testing.assert_allclose(ratios, [1 / 25, 1 / 4])
         assert acc == pytest.approx(1.0 - np.sqrt((1 / 25 + 1 / 4) / 2))
@@ -183,19 +163,18 @@ class TestL2Accuracy:
                      q=np.array([[0.0, 0.0], [1.0, 0.0]]),
                      jac_u=np.zeros((2, 2, 1)), jac_sigma=np.zeros((2, 1)),
                      jac_v=np.zeros((2, 3, 1)), meta={})
-        acc, ratios, skipped = l2_accuracy(ZeroModel(3, 2), ds)
+        acc, ratios, skipped = l2_accuracy(zero(ds), ds)
         assert skipped == 1
         assert len(ratios) == 1
 
 
 class TestH1Accuracy:
     def test_exact_model_scores_one(self, toy_ds):
-        acc, _, _ = h1_seminorm_accuracy(TableModel.exact(toy_ds), toy_ds)
+        acc, _, _ = h1_seminorm_accuracy(exact(toy_ds), toy_ds)
         assert acc == pytest.approx(1.0, abs=1e-7)
 
     def test_zero_jacobian_scores_zero(self, toy_ds):
-        acc, _, _ = h1_seminorm_accuracy(ZeroModel(toy_ds.d_m, toy_ds.d_q),
-                                         toy_ds)
+        acc, _, _ = h1_seminorm_accuracy(zero(toy_ds), toy_ds)
         assert acc == pytest.approx(0.0)
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
@@ -226,8 +205,7 @@ class TestMisfitGradient:
         q = np.array([1.0, 0.5, -0.5])
         ds = Dataset(m=np.zeros((1, 5)), q=q[None], jac_u=u[None],
                      jac_sigma=np.array([[2.0]]), jac_v=v[None])
-        key = ds.m[0].tobytes()
-        model = TableModel({key: q + rho * u[:, 0]}, {key: 2.0 * u @ v.T})
+        model = dense([q + rho * u[:, 0]], [2.0 * u @ v.T])
         _, ratios, skipped = gradient_accuracy(model, ds, seed=3, n_misfit=4)
         eta_u = np.random.default_rng(3).standard_normal((1, 4, 3))[0, :, 0]
         assert skipped == 0
@@ -241,9 +219,7 @@ class TestMisfitGradient:
         seed, n_misfit = 2, 3
         delta = 0.1 * np.random.default_rng(9).standard_normal(toy_ds.q.shape)
         jacs = [toy_map(ToyMap.default(), m)[1] for m in toy_ds.m]
-        keys = [TableModel._key(m) for m in toy_ds.m]
-        model = TableModel(dict(zip(keys, toy_ds.q + delta)),
-                           dict(zip(keys, jacs)))
+        model = dense(toy_ds.q + delta, jacs)
         _, ratios, skipped = gradient_accuracy(model, toy_ds, seed=seed,
                                                n_misfit=n_misfit)
         std = noise_std(toy_ds)
@@ -275,27 +251,23 @@ class TestMisfitGradient:
 
         J_fd = np.column_stack([(F(m + eps * e) - F(m - eps * e)) / (2 * eps)
                                 for e in np.eye(rd.d_m)])
-        model = TableModel({m.tobytes(): ds.q[0]}, {m.tobytes(): J_fd})
+        model = dense(ds.q, [J_fd])
         _, ratios, skipped = gradient_accuracy(model, ds, n_misfit=4)
         assert skipped == 0
         assert np.sqrt(np.max(ratios)) <= 1e-5
 
     def test_nonpositive_variance_rejected(self, toy_ds):
         with pytest.raises(ValueError):
-            gradient_accuracy(TableModel.exact(toy_ds), toy_ds, noise_pct=0.0)
+            gradient_accuracy(exact(toy_ds), toy_ds, noise_pct=0.0)
 
 
 class TestGradientAccuracy:
     def test_exact_model_scores_one(self, toy_ds):
-        acc, _, _ = gradient_accuracy(TableModel.exact(toy_ds), toy_ds,
-                                      seed=0)
+        acc, _, _ = gradient_accuracy(exact(toy_ds), toy_ds, seed=0)
         assert acc == pytest.approx(1.0, abs=1e-6)
 
     def test_correct_values_zero_jacobian_scores_zero(self, toy_ds):
-        exact = TableModel.exact(toy_ds)
-        hybrid = TableModel(exact._values,
-                            {k: np.zeros((toy_ds.d_q, toy_ds.d_m))
-                             for k in exact._jacobians})
+        hybrid = dense(toy_ds.q, zero(toy_ds).jac)
         acc, _, _ = gradient_accuracy(hybrid, toy_ds, seed=0)
         assert acc == pytest.approx(0.0, abs=1e-12)
 
@@ -341,22 +313,19 @@ class TestGradientAccuracy:
 
 class TestGaussNewton:
     def test_exact_model_scores_one(self, toy_ds):
-        gn, rgn, _, _, _ = gauss_newton_accuracies(TableModel.exact(toy_ds),
-                                                   toy_ds)
+        gn, rgn, _, _, _ = gauss_newton_accuracies(exact(toy_ds), toy_ds)
         assert gn == pytest.approx(1.0, abs=1e-7)
         assert rgn == pytest.approx(1.0, abs=1e-7)
 
     def test_exact_dense_model_scores_one_to_round_off(self, toy_ds):
         # every term of the range(V) split is a sum of squares, so an exact
         # model's error is round-off squared
-        gn, rgn, _, _, _ = gauss_newton_accuracies(TableModel.exact(toy_ds),
-                                                   toy_ds)
+        gn, rgn, _, _, _ = gauss_newton_accuracies(exact(toy_ds), toy_ds)
         assert abs(gn - 1.0) <= 1e-12
         assert abs(rgn - 1.0) <= 1e-12
 
     def test_zero_model_scores_zero(self, toy_ds):
-        gn, rgn, _, _, _ = gauss_newton_accuracies(
-            ZeroModel(toy_ds.d_m, toy_ds.d_q), toy_ds)
+        gn, rgn, _, _, _ = gauss_newton_accuracies(zero(toy_ds), toy_ds)
         assert gn == pytest.approx(0.0)
         assert rgn == pytest.approx(0.0)
 
@@ -395,14 +364,12 @@ class TestGaussNewton:
 
 
 def make_model(kind, ds, seed):
-    """A generic net, a reduced-basis net, or a duck-typed table model with
-    random values and dense Jacobians, sized for ``ds``."""
+    """A generic net, a reduced-basis net, or a dense record with random
+    values and Jacobians, sized for ``ds``."""
     rng = np.random.default_rng(seed)
-    if kind == "duck":
-        key = TableModel._key
-        return TableModel(
-            {key(m): rng.standard_normal(ds.d_q) for m in ds.m},
-            {key(m): rng.standard_normal((ds.d_q, ds.d_m)) for m in ds.m})
+    if kind == "dense":
+        return dense(rng.standard_normal((ds.n_samples, ds.d_q)),
+                     rng.standard_normal((ds.n_samples, ds.d_q, ds.d_m)))
     if kind == "generic":
         spec = MLPSpec.dense((ds.d_m, 10, ds.d_q), init_seed=seed)
         return OperatorModel(kind="generic", spec=spec,
@@ -422,7 +389,7 @@ def ds17():
     return ds
 
 
-KINDS = ["generic", "reduced", "duck"]
+KINDS = ["generic", "reduced", "dense"]
 
 
 class TestBatchedVsLoop:
@@ -537,3 +504,66 @@ class TestEvaluate:
     def test_accuracies_bounded_above_by_one(self, toy_ds, net_model):
         report = evaluate(net_model, toy_ds)
         assert all(v <= 1.0 for v in report.accuracies.values())
+
+    def test_all_skipped_metric_reports_null(self, tmp_path, toy_ds,
+                                             net_model):
+        # every stored sigma is 0, so h1, grad, gn and rgn skip every sample
+        ds = dataclasses.replace(toy_ds.subset([0, 1]),
+                                 jac_sigma=np.zeros((2, toy_ds.rank)))
+        report = evaluate(net_model, ds, n_misfit=3)
+        assert {k: v for k, v in report.accuracies.items() if v is None} \
+            == dict.fromkeys(("h1", "grad", "gn", "rgn"))
+        assert report.accuracies["l2"] is not None
+        assert report.warnings == {"l2_skipped": 0, "h1_skipped": 2,
+                                   "grad_skipped": 6, "gn_skipped": 2}
+        report.save(tmp_path / "r")
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads((tmp_path / "r" / "report.json").read_text(),
+                             parse_constant=reject)
+        assert payload["accuracies"]["h1"] is None
+
+    def test_nonfinite_accuracy_is_not_saved(self, tmp_path):
+        report = EvalReport(accuracies={"l2": float("nan")})
+        with pytest.raises(ValueError):
+            report.save(tmp_path)
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the model work the metrics do, by name."""
+    counts = dict.fromkeys(("forward", "parametric_jacobian",
+                            "project_factors"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(metrics, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    return counts
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("kind", ["generic", "reduced"])
+    def test_evaluate_runs_the_model_once(self, ds17, kind, calls):
+        evaluate(make_model(kind, ds17, seed=2), ds17)
+        assert calls == {"forward": 1,
+                         "parametric_jacobian": -(-17 // _BLOCK_ROWS),
+                         "project_factors": int(kind == "reduced")}
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced"])
+    def test_l2_runs_no_tape(self, ds17, kind, calls):
+        model = make_model(kind, ds17, seed=2)
+        evaluate(model, ds17, metrics=("l2",))
+        l2_accuracy(model, ds17)
+        assert calls == {"forward": 2, "parametric_jacobian": 0,
+                         "project_factors": 0}
+
+    def test_record_comes_back_unchanged(self, ds17):
+        record = model_outputs(make_model("reduced", ds17, seed=2), ds17)
+        assert model_outputs(record, ds17) is record
+        assert record.jac.shape == (17, 5, 6)
+        assert len(record.projected) == 2

@@ -8,11 +8,17 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "derivop"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# Program code that may read a src/derivop name; tests/ does not count.
+# Program code that may read a src/derivop name; tests/ does not count, and
+# neither do the re-exports of an __init__.py.
 READERS = ("src", "perfbench", "scripts")
 # Names only the acceptance suite reads, each with the criteria that read it.
 ACCEPTANCE_ONLY = {"truncation_error_bound": "3", "ms_penalty": "4",
-                   "reset": "8", "as_dense": "2, 3"}
+                   "reset": "8", "as_dense": "2, 3",
+                   "full_space_jacobian": "5, 7"}
+# Parameters with a default in src/derivop signatures, dataclass fields with
+# a default, and CLI options with a default.  A change that adds or removes
+# a knob updates this count.
+KNOBS = 117
 
 
 def unused_imports(source):
@@ -73,10 +79,51 @@ def test_every_definition_has_a_program_reader():
     read = set()
     for root in READERS:
         for path in (REPO / root).rglob("*.py"):
-            read |= read_names(path.read_text(encoding="utf-8"))
+            if path.name != "__init__.py":
+                read |= read_names(path.read_text(encoding="utf-8"))
     defined = set()
     for path in SRC.glob("*.py"):
         defined |= defined_names(path.read_text(encoding="utf-8"))
     assert set(ACCEPTANCE_ONLY) <= defined
     assert sorted(defined - read - set(ACCEPTANCE_ONLY)) == []
     assert sorted(set(ACCEPTANCE_ONLY) & read) == []
+
+
+def knob_count(source):
+    """Knobs a module defines: defaults of function and lambda parameters,
+    defaulted fields of ``@dataclass`` classes, and ``add_argument`` options
+    that are not ``required=True``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults) \
+                + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass")
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) == "add_argument" \
+                and str(node.args[0].value).startswith("-"):
+            count += not any(k.arg == "required" and k.value.value is True
+                             for k in node.keywords)
+    return count
+
+
+def test_knob_counter():
+    source = ("from dataclasses import dataclass\n"
+              "def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n"
+              "@dataclass(frozen=True)\nclass K:\n    a: int\n    b: int = 1\n"
+              "class L:\n    c: int = 1\n"
+              "p.add_argument('--x', default=1)\n"
+              "p.add_argument('--y', action='store_true')\n"
+              "p.add_argument('--z', required=True)\n"
+              "p.add_argument('pos')\n")
+    assert knob_count(source) == 3 + 1 + 2
+
+
+def test_knob_count():
+    assert sum(knob_count(p.read_text(encoding="utf-8"))
+               for p in SRC.glob("*.py")) == KNOBS
