@@ -26,8 +26,8 @@ import numpy as np
 from .datagen import project_factors
 from .netop import forward, parametric_jacobian
 
-# Test rows per block: the tangent tape and the dense residuals run one
-# block at a time, so their transient memory stays bounded.
+# Test rows per block: the network's Jacobian sweep and the dense residuals
+# run one block at a time, so their transient memory stays bounded.
 _BLOCK_ROWS = 8
 METRICS = ("l2", "h1", "grad", "gn", "rgn")
 
@@ -77,7 +77,9 @@ class ModelOutputs:
 
 def model_outputs(model, test_ds):
     """The ModelOutputs of an OperatorModel on ``test_ds`` (a ModelOutputs
-    comes back unchanged); the tangent tape runs a block of rows at a time."""
+    comes back unchanged).  ``parametric_jacobian`` runs a block of rows at
+    a time, on the adjoint sweep when the net's output is narrower than its
+    input (d_Q < d_M, r_Q < r_M) and on the tangent tape otherwise."""
     if isinstance(model, ModelOutputs):
         return model
     preds = forward(model, test_ds.m)

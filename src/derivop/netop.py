@@ -8,17 +8,28 @@ Two wrappings of the same latent MLP:
 * reduced_basis - f(m) = Phi phi(Psi^T m) + b with frozen orthonormal
   bases, whose native Jacobian lives in the latent r_Q x r_M space.
 
-Every Jacobian comes off one batched tangent tape.  The columns of a right
-factor B_i (or of the identity) ride through the network next to the
-columns of every other sample: T_0 = B_i and T_l = d1_l * (W_l T_{l-1}),
-stored (n_l, n, cols), so block i of T_L is J(m_i) B_i and each layer
-costs one 2-D GEMM, W_l times the stacked (n_{l-1}, n * cols) array (BLAS
-runs this orientation faster than the transposed one).  The penalty
-||C_i - A_i^T J_i B_i||^2 reads A^T J B off the tape.  Its weight gradient
-(double backpropagation) is a sweep back down the tape seeded with
-A_i Ebar_i; it accumulates each dW_l as one GEMM over the stacked columns
-and runs in the same loop as the value-loss backward pass, into which it
-feeds its second-derivative seeds.
+Every Jacobian product A_i^T J_i B_i comes off one of two batched sweeps,
+each costing in proportion to the columns it carries per sample.  The
+tangent tape carries the cols columns of a right factor B_i (or of the
+identity) up the network, next to those of every other sample: T_0 = B_i
+and T_l = d1_l * (W_l T_{l-1}), stored (n_l, n, cols), so block i of T_L
+is J(m_i) B_i.  The adjoint sweep, its mirror, carries the rows columns of
+a left factor A_i (or of the identity) down it: Q_L = A_i,
+P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, stored (n_{l-1}, n, rows), so
+block i of Q_0 is J(m_i)^T A_i.  Each layer of either costs one 2-D GEMM,
+W_l or W_l^T times the stacked (width, n * columns) array (BLAS runs this
+orientation faster than the transposed one).  The shapes alone pick the
+sweep: the adjoint one iff rows < cols, and ties keep the tangent tape.
+So h1_full penalties and ``parametric_jacobian`` take the adjoint sweep
+when the net's output is narrower than its input, as DINO's r_Q x r_M
+Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
+
+The penalty ||C_i - A_i^T J_i B_i||^2 reads A^T J B off its sweep.  Its
+weight gradient (double backpropagation) is the sweep run the other way:
+back down the tangent tape from A_i Ebar_i, or up the layers from
+B_i Ebar_i^T after an adjoint sweep.  Either accumulates each dW_l as one
+GEMM over the stacked columns and returns per-layer (dW_l, d2-seed_l)
+pairs, which the one value-loss backward pass consumes.
 
 A loss reads its samples from ``Batch``, another name of ``datagen.Dataset``:
 one container holds generated sets, mini-batches and latent sets.  A
@@ -210,7 +221,7 @@ def forward(model, m):
     return out[0] if single else out
 
 
-# --- tangent tape --------------------------------------------------------------
+# --- Jacobian sweeps ----------------------------------------------------------
 
 class FlopCounter:
     """Multiply-count for the Jacobian-penalty evaluation path."""
@@ -247,17 +258,48 @@ def _tangent_tape(layers, d1s, T, flops):
         yield T
 
 
+def _adjoint_sweep(layers, d1s, Q, flops):
+    """Pull adjoint rows down the net, stacked over the batch.
+
+    ``Q`` is Q_L laid out (n_L, n, rows), or None for the identity
+    (rows = n_L).  For l = L..1 yields P_l = d1_l * Q_l and
+    Q_{l-1} = W_l^T P_l, each (n_{l-1}, n, rows) and each one GEMM on the
+    stacked (n_l, n * rows) array; block i of Q_0 is J(m_i)^T A_i.  An
+    identity seed yields P_L = None for diag(d1_L).  Multiplies are added
+    to the FlopCounter ``flops``.
+    """
+    for (W, _), d1 in zip(layers[::-1], d1s[::-1]):
+        if Q is None:
+            P = None
+            # Q[k, i, r] = W[r, k] d1[i, r]; C order, as in _tangent_tape
+            Q = np.multiply(W.T[:, None, :], d1, order="C")
+            flops.count += Q.size
+        else:
+            P = Q * d1.T[:, :, None]
+            n_out, n, rows = P.shape
+            Q = (W.T @ P.reshape(n_out, n * rows)).reshape(W.shape[1], n, rows)
+            flops.count += P.size + W.size * n * rows
+        yield P, Q
+
+
 def parametric_jacobian(model, m):
     """Exact Jacobian of the model at m: latent r_Q x r_M for reduced-basis
-    models, d_Q x d_M for generic ones.  A batch of rows gives one per row."""
+    models, d_Q x d_M for generic ones.  A batch of rows gives one per row.
+    The adjoint sweep runs when the output is narrower than the input."""
     m = np.asarray(m, dtype=float)
     X = m @ model.bases.psi if model.kind == "reduced_basis" else m
     _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
-    # Only the last layer's tangent is kept, so the tape's arrays are freed
+    layers = model.weights.layers()
+    # Only the last array of a sweep is kept, so the earlier ones are freed
     # (and their memory reused) as it goes.
-    for T in _tangent_tape(model.weights.layers(), d1s, None, FlopCounter()):
-        pass
-    J = T.transpose(1, 0, 2)
+    if model.spec.d_out < model.spec.d_in:
+        for _, Q in _adjoint_sweep(layers, d1s, None, FlopCounter()):
+            pass
+        J = Q.transpose(1, 2, 0)
+    else:
+        for T in _tangent_tape(layers, d1s, None, FlopCounter()):
+            pass
+        J = T.transpose(1, 0, 2)
     return J[0] if m.ndim == 1 else J
 
 
@@ -328,6 +370,74 @@ def _penalty_terms(model, batch, cfg, ms_idx):
     return A, B, C, wgt
 
 
+def _tangent_penalty(layers, d1s, ratios, A, B):
+    """Tangent-mode penalty sweep: A^T J B stacked (n, rows, cols) off the
+    tangent tape, and the function that maps Ebar (the loss gradient with
+    respect to it) to the per-layer (dW_l, d2-seed_l) pairs.  Those come
+    from a sweep back down the tape seeded with H_L = A Ebar:
+    dW_l = (d1_l * H_l) T_{l-1}^T and H_{l-1} = W_l^T (d1_l * H_l)."""
+    T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
+    Ts = (T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS))
+    S = Ts[-1].transpose(1, 0, 2)
+    if A is not None:
+        S = A.transpose(0, 2, 1) @ S
+        PENALTY_FLOPS.count += A.size * S.shape[2]
+
+    def pairs(Ebar):
+        H = (Ebar if A is None else A @ Ebar).transpose(1, 0, 2)
+        out = []
+        for l in range(len(layers) - 1, -1, -1):
+            W = layers[l][0]
+            DH = (H * d1s[l].T[:, :, None]).reshape(W.shape[0], -1)
+            T = Ts[l]
+            gW = DH.reshape(H.shape).sum(axis=1) if T is None \
+                else DH @ T.reshape(T.shape[0], -1).T
+            # d2 * sum_c(H * W_l T_{l-1}) = (d2 / d1) * sum_c(H * T_l)
+            seed = ratios[l] * np.einsum("obc,obc->bo", H, Ts[l + 1])
+            out.append((gW, seed))
+            if l > 0:
+                H = (W.T @ DH).reshape(W.shape[1], *H.shape[1:])
+        return out[::-1]
+
+    return S, pairs
+
+
+def _adjoint_penalty(layers, d1s, ratios, A, B):
+    """Adjoint-mode mirror of ``_tangent_penalty``: A^T J B = Q_0^T B off
+    the adjoint sweep, and the pairs from a sweep up the layers seeded with
+    K_0 = B Ebar^T: K_l = d1_l * (W_l K_{l-1}), dW_l = P_l K_{l-1}^T and
+    d2-seed_l = (d2 / d1) * sum_r(P_l * W_l K_{l-1})."""
+    QL = None if A is None else np.ascontiguousarray(A.transpose(1, 0, 2))
+    Ps = []
+    for P, Q in _adjoint_sweep(layers, d1s, QL, PENALTY_FLOPS):
+        Ps.append(P)
+    S = Q.transpose(1, 2, 0)
+    if B is not None:
+        S = S @ B
+        PENALTY_FLOPS.count += Q.size * B.shape[2]
+
+    def pairs(Ebar):
+        K = Ebar.transpose(0, 2, 1)
+        if B is not None:
+            K = B @ K
+        K = np.ascontiguousarray(K.transpose(1, 0, 2))
+        out = []
+        for (W, _), d1, ratio, P in zip(layers, d1s, ratios, Ps[::-1]):
+            if P is None:
+                # identity seed, so this is layer L and P_L = diag(d1_L)
+                out.append((np.einsum("bo,kbo->ok", d1, K),
+                            ratio * d1 * np.einsum("ok,kbo->bo", W, K)))
+                continue
+            n_in, n, rows = K.shape
+            WK = (W @ K.reshape(n_in, n * rows)).reshape(W.shape[0], n, rows)
+            out.append((P.reshape(W.shape[0], -1) @ K.reshape(n_in, -1).T,
+                        ratio * np.einsum("obr,obr->bo", P, WK)))
+            K = WK * d1.T[:, :, None]
+        return out
+
+    return S, pairs
+
+
 def loss_and_grad(model, batch, cfg, ms_idx=None):
     """Batch-mean loss of the configured formulation and its exact w-gradient.
 
@@ -354,16 +464,15 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     seed = (2.0 / nbatch) * res
     loss = float(np.sum(res**2)) / nbatch
 
-    H = None  # adjoint of the tangent tape, (n_l, n, cols)
+    pairs = None  # per-layer (dW, d2-seed) of the penalty
     if cfg.variant != "l2":
         A, B, C, wgt = _penalty_terms(model, batch, cfg, ms_idx)
-        T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
-        Ts = (T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS))
-        # A_i^T J_i B_i read off the tape
-        S = Ts[-1].transpose(1, 0, 2)
-        if A is not None:
-            S = A.transpose(0, 2, 1) @ S
-            PENALTY_FLOPS.count += A.size * S.shape[2]
+        # the sweep that carries fewer columns per sample; ties keep the
+        # tangent tape
+        rows = weights.spec.d_out if A is None else A.shape[2]
+        cols = d_in if B is None else B.shape[2]
+        sweep = _adjoint_penalty if rows < cols else _tangent_penalty
+        S, penalty_pairs = sweep(layers, d1s, ratios, A, B)
         E = S - C
         PENALTY_FLOPS.count += E.size
         if wgt is not None:
@@ -372,27 +481,20 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
         else:
             wE = E
         loss += cfg.h1_weight * float(np.sum(wE * E)) / nbatch
-        Ebar = (2.0 * cfg.h1_weight / nbatch) * wE
-        H = (Ebar if A is None else A @ Ebar).transpose(1, 0, 2)
+        pairs = penalty_pairs((2.0 * cfg.h1_weight / nbatch) * wE)
 
     grads = []
     for l in range(len(layers) - 1, -1, -1):
         W = layers[l][0]
         g_a = seed * d1s[l]
-        gW = np.zeros_like(W)
-        if H is not None:
-            DH = (H * d1s[l].T[:, :, None]).reshape(W.shape[0], -1)
-            T = Ts[l]
-            gW += DH.reshape(H.shape).sum(axis=1) if T is None \
-                else DH @ T.reshape(T.shape[0], -1).T
-            # d2 * sum_c(H * W_l T_{l-1}) = (d2 / d1) * sum_c(H * T_l)
-            g_a += ratios[l] * np.einsum("obc,obc->bo", H, Ts[l + 1])
-        gW += g_a.T @ zs[l]
+        if pairs is not None:
+            g_a += pairs[l][1]
+        gW = g_a.T @ zs[l]
+        if pairs is not None:
+            gW += pairs[l][0]
         grads.append((gW, g_a.sum(axis=0)))
         if l > 0:
             seed = g_a @ W
-            if H is not None:
-                H = (W.T @ DH).reshape(W.shape[1], *H.shape[1:])
     grad = NetworkWeights.from_layers(weights.spec, grads[::-1])
     return loss, grad.flat
 

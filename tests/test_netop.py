@@ -11,12 +11,17 @@ from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
 from derivop.io import LoadError
 from derivop.netop import (
+    PENALTY_FLOPS,
     Batch,
+    FlopCounter,
     MLPSpec,
     NetworkWeights,
     OperatorModel,
+    _adjoint_sweep,
+    _mlp_forward,
     _ms_target,
     _ms_weight,
+    _tangent_tape,
     forward,
     full_space_jacobian,
     load_model,
@@ -158,6 +163,19 @@ class TestJacobian:
                 assert np.linalg.norm(y @ J) <= 1e-12 * max(
                     1.0, np.linalg.norm(J) * np.linalg.norm(y))
 
+    @staticmethod
+    def assert_matches_finite_differences(model, rng):
+        m = rng.standard_normal(model.d_m)
+        J = full_space_jacobian(model, m)
+        eps = 1e-6
+        for _ in range(5):
+            v = rng.standard_normal(model.d_m)
+            fd = (forward(model, m + eps * v) - forward(model, m - eps * v)) \
+                / (2 * eps)
+            assert np.linalg.norm(fd - J @ v) <= 1e-6 * max(
+                1.0, np.linalg.norm(J @ v))
+
+    # the output is narrower than the input: the adjoint sweep
     @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(4)
@@ -165,15 +183,45 @@ class TestJacobian:
             model = make_generic(6, 4, (8, 8))
         else:
             model = make_reduced(6, 4, 4, 3, (8,), rng)
-        m = rng.standard_normal(6)
-        J = full_space_jacobian(model, m)
-        eps = 1e-6
-        for _ in range(5):
-            v = rng.standard_normal(6)
-            fd = (forward(model, m + eps * v) - forward(model, m - eps * v)) \
-                / (2 * eps)
-            assert np.linalg.norm(fd - J @ v) <= 1e-6 * max(
-                1.0, np.linalg.norm(J @ v))
+        self.assert_matches_finite_differences(model, rng)
+
+    # the output is wider than the input: the tangent tape
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_wide_output_matches_finite_differences(self, kind):
+        rng = np.random.default_rng(4)
+        if kind == "generic":
+            model = make_generic(4, 6, (8, 8))
+        else:
+            model = make_reduced(6, 5, 3, 4, (8,), rng)
+        self.assert_matches_finite_differences(model, rng)
+
+    @pytest.mark.parametrize("widths", [(5, 7, 3), (3, 7, 5), (4, 6, 4)],
+                             ids=["narrow-out", "wide-out", "tie"])
+    def test_sweeps_agree(self, widths):
+        # A_i^T J_i B_i off the tangent tape and off the adjoint sweep, with
+        # identity and explicit seeds on either side
+        rng = np.random.default_rng(17)
+        spec = MLPSpec(widths=widths, activations=("softplus",) * 2)
+        weights = NetworkWeights.init(spec)
+        layers = weights.layers()
+        n = 3
+        _, d1s, _ = _mlp_forward(weights, rng.standard_normal((n, widths[0])))
+        A = rng.standard_normal((n, widths[-1], 2))
+        B = rng.standard_normal((n, widths[0], 4))
+        for a, b in ((None, None), (A, None), (None, B), (A, B)):
+            T0 = None if b is None else np.ascontiguousarray(
+                b.transpose(1, 0, 2))
+            *_, T = _tangent_tape(layers, d1s, T0, FlopCounter())
+            fwd = T.transpose(1, 0, 2)
+            if a is not None:
+                fwd = a.transpose(0, 2, 1) @ fwd
+            QL = None if a is None else np.ascontiguousarray(
+                a.transpose(1, 0, 2))
+            *_, (_, Q) = _adjoint_sweep(layers, d1s, QL, FlopCounter())
+            adj = Q.transpose(1, 2, 0)
+            if b is not None:
+                adj = adj @ b
+            np.testing.assert_allclose(adj, fwd, rtol=1e-13, atol=1e-14)
 
 
 class TestLossAndGrad:
@@ -280,7 +328,7 @@ class TestLossAndGrad:
 
 
 # --- per-sample loop reference -------------------------------------------------
-# The double-backprop algorithm as it ran before the batched tangent tape:
+# The double-backprop algorithm as it ran before the batched sweeps:
 # one sample at a time, penalty in factored order (B up the first half of
 # the chain, A^T down the second), then the weight gradient of <M, J(w)>
 # from explicit partial Jacobian products.  Kept only to check the batched
@@ -426,7 +474,7 @@ def assert_matches_reference(got, want):
 
 
 class TestBatchedTapeVsLoop:
-    """The batched tangent tape reproduces the per-sample loop."""
+    """Both batched sweeps reproduce the per-sample loop."""
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS, ids=_cfg_id)
     @pytest.mark.parametrize("kind", ["generic", "generic_softplus_out",
@@ -455,6 +503,53 @@ class TestBatchedTapeVsLoop:
             assert got[0] == l_loss
             np.testing.assert_array_equal(got[1], l_grad)
         assert_matches_reference(got, (loss, grad))
+
+    # The fixtures above have a narrower output, so their h1_full penalty
+    # takes the adjoint sweep; a wider output or a tie keeps the tangent tape.
+    @pytest.mark.parametrize("kind,d_m,d_q,r_in,r_out", [
+        ("generic", 5, 7, None, None),
+        ("generic", 6, 6, None, None),
+        ("reduced_basis", 7, 9, 4, 5),
+        ("reduced_basis", 7, 9, 5, 5),
+    ], ids=["generic-wide-out", "generic-tie", "reduced-wide-out",
+            "reduced-tie"])
+    def test_h1_full_tangent_tape(self, kind, d_m, d_q, r_in, r_out):
+        rng = np.random.default_rng(18)
+        if kind == "generic":
+            model = make_generic(d_m, d_q, (6, 4), seed=2)
+        else:
+            model = make_reduced(d_m, d_q, r_in, r_out, (6, 4), rng, seed=2)
+        cfg = REFERENCE_CFGS[1]
+        batch = batch_from_model(model, 5, rng, exact=False)
+        loss, grad = loop_loss_and_grad(model, batch, cfg)
+        if kind == "reduced_basis":
+            loss -= off_phi_misfit(model, batch)
+        assert_matches_reference(loss_and_grad(model, batch, cfg),
+                                 (loss, grad))
+
+    # Row and column draws of unequal size put explicit factors A_i and B_i
+    # on both sides of either sweep: fewer rows take the adjoint sweep.
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2)],
+                             ids=["adjoint", "tangent"])
+    @pytest.mark.parametrize("rescale", [False, True],
+                             ids=["plain", "rescaled"])
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_factor_seeds_on_either_side(self, kind, rescale, rows, cols):
+        rng = np.random.default_rng(19)
+        if kind == "generic":
+            model = make_generic(7, 5, (6, 4), seed=2)
+        else:
+            model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 5, rng, exact=False, rank=4)
+        cfg = LossConfig(variant="h1_truncated_ms", k=rows,
+                         ms_mode="dependent", ms_rescale=rescale)
+        ms_idx = (rng.choice(4, size=rows, replace=False),
+                  rng.choice(4, size=cols, replace=False))
+        loss, grad = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        if kind == "reduced_basis":
+            loss -= off_phi_misfit(model, batch)
+        assert_matches_reference(
+            loss_and_grad(model, batch, cfg, ms_idx=ms_idx), (loss, grad))
 
     @pytest.mark.parametrize("cfg", REFERENCE_CFGS[:2], ids=_cfg_id)
     def test_reduced_latent_batches(self, cfg):
@@ -506,6 +601,84 @@ class TestBatchedTapeVsLoop:
             np.testing.assert_allclose(batched[i],
                                        parametric_jacobian(model, M[i]),
                                        rtol=1e-13, atol=1e-15)
+
+
+# --- multiply counts -------------------------------------------------------
+# PENALTY_FLOPS counts the penalty's evaluation path: the sweep, the read-off
+# of A^T J B and the residual E.  The hand counts below are per sample, for
+# h1_full (identity seeds on both sides) on a net of the given widths.
+
+def tangent_flops(widths):
+    cols = widths[0]
+    count = widths[1] * cols  # T_1 = d1_1 * W_1
+    for w_in, w_out in zip(widths[1:-1], widths[2:]):
+        count += (w_out * w_in + w_out) * cols
+    return count + widths[-1] * cols  # E
+
+
+def adjoint_flops(widths):
+    rows = widths[-1]
+    count = widths[-2] * rows  # Q_{L-1} = W_L^T diag(d1_L)
+    for w_in, w_out in zip(widths[:-2], widths[1:-1]):
+        count += (w_out + w_out * w_in) * rows
+    return count + rows * widths[0]  # E
+
+
+DINO_LATENT = (50,) + (50,) * 6 + (25,)
+
+
+class TestPenaltyFlops:
+    """Deterministic multiply counts: no timing."""
+
+    @pytest.fixture
+    def dino_latent(self):
+        # benchmark dipnet shapes: r_M = 50, six hidden layers of 50,
+        # r_Q = rank = 25, batch 16
+        rng = np.random.default_rng(20)
+        n, r = 16, 25
+        bases = ReducedBasisPair(psi=np.eye(50), phi=np.eye(25),
+                                 b=np.zeros(25))
+        spec = MLPSpec.dense(DINO_LATENT, init_seed=1)
+        model = OperatorModel(kind="reduced_basis", spec=spec,
+                              weights=NetworkWeights.init(spec), bases=bases)
+        batch = Batch(m=rng.standard_normal((n, 50)),
+                      q=rng.standard_normal((n, 25)),
+                      jac_u=random_orthonormal(25, r, rng)[None].repeat(n, 0),
+                      jac_sigma=rng.random((n, r)),
+                      jac_v=random_orthonormal(50, r, rng)[None].repeat(n, 0),
+                      jac_r=rng.standard_normal((n, 25, 50)), latent=True)
+        return model, batch
+
+    @staticmethod
+    def count(model, batch, cfg, ms_idx=None):
+        PENALTY_FLOPS.reset()
+        loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        return PENALTY_FLOPS.count
+
+    def test_h1_full_takes_the_adjoint_sweep(self, dino_latent):
+        got = self.count(*dino_latent, LossConfig(variant="h1_full"))
+        assert got == 16 * adjoint_flops(DINO_LATENT) == 6_160_000
+        assert got <= 0.6 * 16 * tangent_flops(DINO_LATENT)
+
+    def test_ties_keep_the_tangent_tape(self, dino_latent):
+        # rows == cols for both truncated penalties, so they keep the tangent
+        # tape: 16 * 430625 and 16 * 168450 multiplies
+        assert self.count(*dino_latent, LossConfig(variant="h1_truncated")) \
+            == 6_890_000
+        idx = (np.arange(10), np.arange(10))
+        cfg = LossConfig(variant="h1_truncated_ms", k=10, ms_rescale=True)
+        assert self.count(*dino_latent, cfg, ms_idx=idx) == 2_695_200
+
+    @pytest.mark.parametrize("widths", [(6, 5, 4), (4, 5, 6), (5, 5, 5)],
+                             ids=["narrow-out", "wide-out", "tie"])
+    def test_mode_follows_the_shapes(self, widths):
+        rng = np.random.default_rng(21)
+        model = make_generic(widths[0], widths[-1], widths[1:-1])
+        batch = batch_from_model(model, 3, rng, exact=False)
+        want = adjoint_flops(widths) if widths[-1] < widths[0] \
+            else tangent_flops(widths)
+        assert self.count(model, batch, LossConfig(variant="h1_full")) \
+            == 3 * want
 
 
 class TestPersistence:
