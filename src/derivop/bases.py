@@ -35,11 +35,16 @@ class ReducedBasisPair:
         return self.phi.shape[1]
 
 
+_GRAM_BLOCK = 16  # samples per GEMM; stacking all N raises peak memory
+
+
 def _gram(factors, sigma):
-    """(1/N) sum_i X_i X_i^T with X_i = F_i S_i, one GEMM per sample."""
+    """(1/N) sum_i X_i X_i^T with X_i = F_i S_i.  The X_i of _GRAM_BLOCK
+    samples are stacked into one d x (block r) matrix, one GEMM per block."""
     G = np.zeros((factors.shape[1],) * 2)
-    for F, s in zip(factors, sigma):
-        X = F * s
+    for i in range(0, len(factors), _GRAM_BLOCK):
+        X = np.hstack(factors[i:i + _GRAM_BLOCK]
+                      * sigma[i:i + _GRAM_BLOCK, None])
         G += X @ X.T
     return G / len(factors)
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -159,15 +160,19 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
 
 
 def symmetric_eig_topk(S, k):
-    """Top-k eigenpairs of a symmetric matrix, descending, sign-fixed."""
+    """Top-k eigenpairs of a symmetric matrix, descending, sign-fixed.  After
+    the symmetrization, LAPACK's subset driver (dsyevr) reads one triangle
+    and forms only the k wanted eigenvectors."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected square matrix, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matrix has non-finite entries")
     asym = np.linalg.norm(S - S.T)
     if asym > 1e-10 * max(1.0, np.linalg.norm(S)):
         raise ValueError(f"matrix not symmetric, |S - S^T| = {asym:.3e}")
     if not 1 <= k <= S.shape[0]:
         raise ValueError(f"k = {k} out of range for dim {S.shape[0]}")
-    vals, vecs = np.linalg.eigh((S + S.T) / 2)
-    order = np.argsort(vals)[::-1][:k]
-    return vals[order].copy(), fix_signs(vecs[:, order])
+    vals, vecs = scipy.linalg.eigh((S + S.T) / 2, check_finite=False,
+                                   subset_by_index=[len(S) - k, len(S) - 1])
+    return vals[::-1].copy(), fix_signs(vecs[:, ::-1])

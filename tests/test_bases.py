@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from derivop.bases import (
+    _GRAM_BLOCK,
     ReducedBasisPair,
     active_subspace,
     derivative_informed_bases,
@@ -96,6 +97,23 @@ class TestActiveSubspace:
     def test_rank_validation(self, toy_ds):
         with pytest.raises(ValueError):
             active_subspace(toy_ds, toy_ds.d_m + 1)
+
+
+@pytest.mark.parametrize("n", [1, _GRAM_BLOCK - 1, _GRAM_BLOCK + 1,
+                               2 * _GRAM_BLOCK + 3])
+def test_grams_match_per_sample_sum_across_blocks(n):
+    """Full and partial Gram blocks both equal the per-sample sum."""
+    rng = np.random.default_rng(n)
+    ds = dataset_from_jacobians(rng.standard_normal((n, 7, 11)), rng)
+    dense_in, dense_out = np.zeros((11, 11)), np.zeros((7, 7))
+    for i in range(n):
+        J = (ds.jac_u[i] * ds.jac_sigma[i]) @ ds.jac_v[i].T
+        dense_in += J.T @ J
+        dense_out += J @ J.T
+    for gram, dense in ((input_gram, dense_in), (output_gram, dense_out)):
+        dense /= n
+        assert np.linalg.norm(gram(ds) - dense) \
+            <= 1e-13 * np.linalg.norm(dense)
 
 
 class TestOutputBasis:

@@ -178,6 +178,33 @@ class TestSymmetricEig:
         assert np.linalg.norm(S - rebuilt) <= 1e-8 * np.linalg.norm(S)
         assert np.all(np.diff(vals) <= 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # checked before the asymmetry test, whose S - S^T would warn on Inf
+        S = np.eye(4)
+        S[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eig_topk(S, k=2)
+
+    @pytest.mark.parametrize("k", [1, 12, 25])
+    def test_matches_full_eigh(self, k):
+        """k = 25 = n is a complete basis, as dino-pipeline's output basis."""
+        rng = np.random.default_rng(12)
+        n = 25
+        # top four eigenvalues in a cluster 1e-4 apart, then a gap
+        lam = np.concatenate([1.0 - 1e-4 * np.arange(4),
+                              np.geomspace(0.5, 1e-2, n - 4)])
+        Q = random_orthonormal(n, n, rng)
+        S = (Q * lam) @ Q.T
+        vals, vecs = symmetric_eig_topk(S, k)
+        ref_vals, ref_vecs = np.linalg.eigh(S)
+        ref_vals, ref_vecs = ref_vals[::-1][:k], ref_vecs[:, ::-1][:, :k]
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12)
+        assert np.all(np.diff(vals) <= 0)
+        np.testing.assert_allclose(vecs @ vecs.T, ref_vecs @ ref_vecs.T,
+                                   atol=1e-10)
+        assert np.all(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)] > 0)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             symmetric_eig_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), k=1)

@@ -1,6 +1,7 @@
 """Static checks on the package source (stdlib ``ast`` only)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ READERS = ("src", "perfbench", "scripts")
 ACCEPTANCE_ONLY = {"truncation_error_bound": "3", "ms_penalty": "4",
                    "reset": "8", "as_dense": "2, 3",
                    "full_space_jacobian": "5, 7"}
+# Top-level packages src/derivop may import: the runtime deps stay numpy and
+# scipy.
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "scipy", "derivop"}
 # Parameters with a default in src/derivop signatures, dataclass fields with
 # a default, and CLI options with a default.  A change that adds or removes
 # a knob updates this count.
@@ -42,6 +46,31 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source):
+    """Top-level packages a module imports outside ALLOWED_IMPORTS, sorted.
+    Relative imports stay inside the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - ALLOWED_IMPORTS)
+
+
+def test_import_checker():
+    source = ("import os, numpy.linalg, torch\nfrom scipy import sparse\n"
+              "from . import io\nfrom .models import Grid\n"
+              "from jax.numpy import zeros\nimport derivop.bases\n"
+              "import scipy.linalg as sla\nfrom collections import abc\n")
+    assert foreign_imports(source) == ["jax", "torch"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_deps_are_numpy_and_scipy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def defined_names(source):
