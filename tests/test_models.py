@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from derivop import models
 from derivop.models import (
     Grid,
     NewtonConvergenceError,
@@ -145,6 +146,71 @@ class TestSolveState:
         with pytest.raises(NewtonConvergenceError) as info:
             solve_state(model, np.full(model.d_m, 2.0))
         assert len(info.value.history) >= 1
+
+    def test_start_off_dirichlet_data(self, model9, prior9):
+        # Nonzero Dirichlet residuals reach the factor's coupling block.
+        m = sample_prior(prior9, np.random.default_rng(14))
+        u0 = np.random.default_rng(15).standard_normal(model9.d_u)
+        u = solve_state(model9, m, u0=u0)
+        tol = model9.newton_tol * max(1.0, np.linalg.norm(model9.source))
+        assert np.linalg.norm(residual(model9, u, m)) <= tol
+        n = model9.grid.n
+        np.testing.assert_allclose(u[:n], 0.0, atol=1e-14)
+        np.testing.assert_allclose(u[-n:], 1.0, atol=1e-14)
+        np.testing.assert_allclose(u, solve_state(model9, m), atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, model9, value):
+        m = np.zeros(model9.d_m)
+        m[40] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_state(model9, m)
+
+    def test_overflowing_parameter_fails_explicitly(self, model9):
+        m = np.zeros(model9.d_m)
+        m[40] = 800.0  # e^m overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NewtonConvergenceError) as info:
+            solve_state(model9, m)
+        assert len(info.value.history) == 1
+        assert not np.isfinite(info.value.history[0])
+
+    def test_indefinite_jacobian_fails_explicitly(self, grid9):
+        # e^m underflows to 0: no diffusion, and with c_nl = 0 the interior
+        # block of dR/du is zero.
+        model = RDModel(grid=grid9, c_nl=0.0)
+        with pytest.raises(NewtonConvergenceError,
+                           match="not positive definite") as info:
+            solve_state(model, np.full(model.d_m, -800.0))
+        assert len(info.value.history) == 1
+
+
+class TestBandedCholesky:
+    """The factor helper against SuperLU's spsolve, with right-hand sides
+    that are nonzero on the Dirichlet rows."""
+
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    def test_matches_sparse_solve(self, n):
+        grid = Grid(n)
+        model = RDModel(grid=grid, c_nl=1.5, obs_nodes=[grid.node(1, 1)])
+        prior = PriorConfig(delta=1.3, gamma=0.37, grid=grid)
+        rng = np.random.default_rng(n)
+        u, m = rng.standard_normal((2, model.d_u))
+        J = state_jacobian(model, u, m)
+        A = prior_operator(prior)
+        cases = ((J, models._banded_cholesky(J, models._state_layout(grid))),
+                 (A, models._prior_factor(prior)))
+        for mat, factor in cases:
+            for trans, op in (("N", mat), ("T", mat.T.tocsc())):
+                for b in (rng.standard_normal(model.d_u),
+                          rng.standard_normal((model.d_u, 3))):
+                    b_in = b.copy()
+                    x = factor.solve(b, trans)
+                    np.testing.assert_array_equal(b, b_in)  # b is not mutated
+                    ref = spla.spsolve(op, b)
+                    assert x.shape == b.shape
+                    assert np.linalg.norm(x - ref) <= \
+                        1e-12 * np.linalg.norm(ref)
 
 
 class TestObserve:

@@ -73,6 +73,32 @@ def test_runtime_deps_are_numpy_and_scipy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source):
+    """Dotted names a module imports, counting ``from a import b`` as both
+    ``a`` and ``a.b`` (b may be a submodule)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_imported_modules():
+    source = ("import scipy.sparse as sp\nfrom scipy.sparse import linalg\n"
+              "from .linalg import LinearOperator\n")
+    assert imported_modules(source) == {"scipy.sparse", "scipy.sparse.linalg"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_sparse_lu(path):
+    """Every PDE factorization is the banded Cholesky in ``models``."""
+    assert "scipy.sparse.linalg" not in imported_modules(
+        path.read_text(encoding="utf-8"))
+
+
 def defined_names(source):
     """Functions and classes defined anywhere in a module, dunders excluded."""
     return {node.name for node in ast.walk(ast.parse(source))
