@@ -342,7 +342,8 @@ def solve_state(model, m, u0=None):
     else:
         u = np.array(u0, dtype=float)
     tol = model.newton_tol * max(1.0, float(np.linalg.norm(model.source)))
-    R = residual(model, u, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = residual(model, u, m)
     rnorm = np.linalg.norm(R)
     history = [rnorm]
     if not np.isfinite(rnorm):
@@ -358,7 +359,8 @@ def solve_state(model, m, u0=None):
         alpha = 1.0
         while alpha > 1e-12:
             u_try = u + alpha * step
-            R_try = residual(model, u_try, m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                R_try = residual(model, u_try, m)
             if np.linalg.norm(R_try) <= (1.0 - 1e-4 * alpha) * rnorm:
                 break
             alpha *= 0.5

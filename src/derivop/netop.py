@@ -18,18 +18,22 @@ a left factor A_i (or of the identity) down it: Q_L = A_i,
 P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, stored (n_{l-1}, n, rows), so
 block i of Q_0 is J(m_i)^T A_i.  Each layer of either costs one 2-D GEMM,
 W_l or W_l^T times the stacked (width, n * columns) array (BLAS runs this
-orientation faster than the transposed one).  The shapes alone pick the
-sweep: the adjoint one iff rows < cols, and ties keep the tangent tape.
-So h1_full penalties and ``parametric_jacobian`` take the adjoint sweep
-when the net's output is narrower than its input, as DINO's r_Q x r_M
-Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
+orientation faster than the transposed one), and forms its array only when
+pulled.  The shapes alone pick the sweep: the adjoint one iff rows < cols,
+and ties keep the tangent tape.  So h1_full penalties and
+``parametric_jacobian`` take the adjoint sweep when the net's output is
+narrower than its input, as DINO's r_Q x r_M Jacobian is, and the
+truncated penalties (rows = cols) the tangent tape.
 
-The penalty ||C_i - A_i^T J_i B_i||^2 reads A^T J B off its sweep.  Its
-weight gradient (double backpropagation) is the sweep run the other way:
-back down the tangent tape from A_i Ebar_i, or up the layers from
-B_i Ebar_i^T after an adjoint sweep.  Either accumulates each dW_l as one
-GEMM over the stacked columns and returns per-layer (dW_l, d2-seed_l)
-pairs, which the one value-loss backward pass consumes.
+One combinator, ``_penalty``, serves the penalty ||C_i - A_i^T J_i B_i||^2.
+It reads A^T J B off the picked sweep and keeps that sweep's arrays.  The
+weight gradient (double backpropagation: second-order adjoints, forward
+over reverse) streams the other sweep against them, seeded from Ebar_i,
+the loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
+kept tangent tape, or T_0 = B_i Ebar_i^T up a kept adjoint sweep.  One rule
+per layer, ``_layer_pair``, reads the pair the value-loss backward pass
+consumes off the two sides: dW_l = P_l T_{l-1}^T and
+d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
 
 A loss reads its samples from ``Batch``, another name of ``datagen.Dataset``:
 one container holds generated sets, mini-batches and latent sets.  A
@@ -262,24 +266,29 @@ def _adjoint_sweep(layers, d1s, Q, flops):
     """Pull adjoint rows down the net, stacked over the batch.
 
     ``Q`` is Q_L laid out (n_L, n, rows), or None for the identity
-    (rows = n_L).  For l = L..1 yields P_l = d1_l * Q_l and
-    Q_{l-1} = W_l^T P_l, each (n_{l-1}, n, rows) and each one GEMM on the
-    stacked (n_l, n * rows) array; block i of Q_0 is J(m_i)^T A_i.  An
-    identity seed yields P_L = None for diag(d1_L).  Multiplies are added
-    to the FlopCounter ``flops``.
+    (rows = n_L).  Yields (Q_l, P_l) for l = L..1 and then (Q_0, None), with
+    P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, each (n_{l-1}, n, rows) and
+    each one GEMM on the stacked (n_l, n * rows) array; block i of Q_0 is
+    J(m_i)^T A_i.  An identity seed yields (None, None) for Q_L = I and
+    P_L = diag(d1_L).  Each pull forms only the arrays it yields, and their
+    multiplies are added to the FlopCounter ``flops``.
     """
+    P = None
     for (W, _), d1 in zip(layers[::-1], d1s[::-1]):
-        if Q is None:
-            P = None
+        if Q is not None:
+            # C order, so that the GEMM's reshape is a view
+            P = np.multiply(Q, d1.T[:, :, None], order="C")
+            flops.count += P.size
+        yield Q, P
+        if P is None:
             # Q[k, i, r] = W[r, k] d1[i, r]; C order, as in _tangent_tape
             Q = np.multiply(W.T[:, None, :], d1, order="C")
             flops.count += Q.size
         else:
-            P = Q * d1.T[:, :, None]
             n_out, n, rows = P.shape
             Q = (W.T @ P.reshape(n_out, n * rows)).reshape(W.shape[1], n, rows)
-            flops.count += P.size + W.size * n * rows
-        yield P, Q
+            flops.count += W.size * n * rows
+    yield Q, None
 
 
 def parametric_jacobian(model, m):
@@ -290,10 +299,9 @@ def parametric_jacobian(model, m):
     X = m @ model.bases.psi if model.kind == "reduced_basis" else m
     _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
     layers = model.weights.layers()
-    # Only the last array of a sweep is kept, so the earlier ones are freed
-    # (and their memory reused) as it goes.
+    # keep only a sweep's last array, so that the others are freed as it goes
     if model.spec.d_out < model.spec.d_in:
-        for _, Q in _adjoint_sweep(layers, d1s, None, FlopCounter()):
+        for Q, _ in _adjoint_sweep(layers, d1s, None, FlopCounter()):
             pass
         J = Q.transpose(1, 2, 0)
     else:
@@ -370,71 +378,68 @@ def _penalty_terms(model, batch, cfg, ms_idx):
     return A, B, C, wgt
 
 
-def _tangent_penalty(layers, d1s, ratios, A, B):
-    """Tangent-mode penalty sweep: A^T J B stacked (n, rows, cols) off the
-    tangent tape, and the function that maps Ebar (the loss gradient with
-    respect to it) to the per-layer (dW_l, d2-seed_l) pairs.  Those come
-    from a sweep back down the tape seeded with H_L = A Ebar:
-    dW_l = (d1_l * H_l) T_{l-1}^T and H_{l-1} = W_l^T (d1_l * H_l)."""
+def _layer_pair(W, d1, ratio, T_prev, T, Q, P):
+    """One layer's (dW_l, d2-seed_l): dW_l = P_l T_{l-1}^T and
+    d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), summed over each sample's
+    columns.  ``T_prev`` None is T_0 = I; ``P`` None is formed here, in place
+    over ``Q``.  ``Q`` None is Q_L = I, so P_L = diag(d1_L), and only the
+    diagonal of T_L is read, as d1_L * (W_L T_{L-1}): T_L is never formed."""
+    if Q is None:
+        return (np.einsum("bo,kbo->ok", d1, T_prev),
+                ratio * d1 * np.einsum("ok,kbo->bo", W, T_prev))
+    seed = ratio * np.einsum("obc,obc->bo", Q, T)
+    if P is None:
+        P = np.multiply(Q, d1.T[:, :, None], out=Q)
+    gW = P.sum(axis=1) if T_prev is None \
+        else P.reshape(len(P), -1) @ T_prev.reshape(len(T_prev), -1).T
+    return gW, seed
+
+
+def _penalty(layers, d1s, ratios, A, B):
+    """A^T J B stacked (n, rows, cols), and the function that maps Ebar (the
+    loss gradient with respect to it) to the per-layer (dW_l, d2-seed_l).
+    The sweep with fewer columns per sample gives A^T J B and is kept; the
+    other one streams from Ebar against it, on a throwaway FlopCounter.  The
+    function frees each kept array after its layer, so it may run only once."""
+    rows = d1s[-1].shape[1] if A is None else A.shape[2]
+    cols = layers[0][0].shape[1] if B is None else B.shape[2]
+    if rows < cols:
+        # a copy, since _layer_pair forms P_L over it
+        QL = None if A is None else A.transpose(1, 0, 2).copy()
+        *Qs, Q0 = (Q for Q, _ in _adjoint_sweep(layers, d1s, QL,
+                                                 PENALTY_FLOPS))
+        S = Q0.transpose(1, 2, 0)
+        if B is not None:
+            S = S @ B
+            PENALTY_FLOPS.count += Q0.size * B.shape[2]
+
+        def pairs(Ebar):
+            T = Ebar if B is None else Ebar @ B.transpose(0, 2, 1)
+            T = np.ascontiguousarray(T.transpose(2, 0, 1))
+            tape = _tangent_tape(layers, d1s, T, FlopCounter())
+            out = []
+            for (W, _), d1, ratio in zip(layers, d1s, ratios):
+                T_prev, Q = T, Qs.pop()  # frees T_{l-1} before T_{l+1} forms
+                T = None if Q is None else next(tape)
+                out.append(_layer_pair(W, d1, ratio, T_prev, T, Q, None))
+            return out
+        return S, pairs
+
     T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
-    Ts = (T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS))
+    Ts = [T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS)]
     S = Ts[-1].transpose(1, 0, 2)
     if A is not None:
         S = A.transpose(0, 2, 1) @ S
         PENALTY_FLOPS.count += A.size * S.shape[2]
 
     def pairs(Ebar):
-        H = (Ebar if A is None else A @ Ebar).transpose(1, 0, 2)
-        out = []
-        for l in range(len(layers) - 1, -1, -1):
-            W = layers[l][0]
-            DH = (H * d1s[l].T[:, :, None]).reshape(W.shape[0], -1)
-            T = Ts[l]
-            gW = DH.reshape(H.shape).sum(axis=1) if T is None \
-                else DH @ T.reshape(T.shape[0], -1).T
-            # d2 * sum_c(H * W_l T_{l-1}) = (d2 / d1) * sum_c(H * T_l)
-            seed = ratios[l] * np.einsum("obc,obc->bo", H, Ts[l + 1])
-            out.append((gW, seed))
-            if l > 0:
-                H = (W.T @ DH).reshape(W.shape[1], *H.shape[1:])
-        return out[::-1]
-
-    return S, pairs
-
-
-def _adjoint_penalty(layers, d1s, ratios, A, B):
-    """Adjoint-mode mirror of ``_tangent_penalty``: A^T J B = Q_0^T B off
-    the adjoint sweep, and the pairs from a sweep up the layers seeded with
-    K_0 = B Ebar^T: K_l = d1_l * (W_l K_{l-1}), dW_l = P_l K_{l-1}^T and
-    d2-seed_l = (d2 / d1) * sum_r(P_l * W_l K_{l-1})."""
-    QL = None if A is None else np.ascontiguousarray(A.transpose(1, 0, 2))
-    Ps = []
-    for P, Q in _adjoint_sweep(layers, d1s, QL, PENALTY_FLOPS):
-        Ps.append(P)
-    S = Q.transpose(1, 2, 0)
-    if B is not None:
-        S = S @ B
-        PENALTY_FLOPS.count += Q.size * B.shape[2]
-
-    def pairs(Ebar):
-        K = Ebar.transpose(0, 2, 1)
-        if B is not None:
-            K = B @ K
-        K = np.ascontiguousarray(K.transpose(1, 0, 2))
-        out = []
-        for (W, _), d1, ratio, P in zip(layers, d1s, ratios, Ps[::-1]):
-            if P is None:
-                # identity seed, so this is layer L and P_L = diag(d1_L)
-                out.append((np.einsum("bo,kbo->ok", d1, K),
-                            ratio * d1 * np.einsum("ok,kbo->bo", W, K)))
-                continue
-            n_in, n, rows = K.shape
-            WK = (W @ K.reshape(n_in, n * rows)).reshape(W.shape[0], n, rows)
-            out.append((P.reshape(W.shape[0], -1) @ K.reshape(n_in, -1).T,
-                        ratio * np.einsum("obr,obr->bo", P, WK)))
-            K = WK * d1.T[:, :, None]
-        return out
-
+        sweep = _adjoint_sweep(layers, d1s, (Ebar if A is None else A @ Ebar)
+                               .transpose(1, 0, 2), FlopCounter())
+        # pops T_l, read for the last time; no frame holds (Q_l, P_l) while
+        # Q_{l-1} forms, and Q_0 is never pulled
+        return [_layer_pair(W, d1, ratio, Ts[-2], Ts.pop(), *next(sweep))
+                for (W, _), d1, ratio in zip(
+                    layers[::-1], d1s[::-1], ratios[::-1])][::-1]
     return S, pairs
 
 
@@ -467,19 +472,10 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     pairs = None  # per-layer (dW, d2-seed) of the penalty
     if cfg.variant != "l2":
         A, B, C, wgt = _penalty_terms(model, batch, cfg, ms_idx)
-        # the sweep that carries fewer columns per sample; ties keep the
-        # tangent tape
-        rows = weights.spec.d_out if A is None else A.shape[2]
-        cols = d_in if B is None else B.shape[2]
-        sweep = _adjoint_penalty if rows < cols else _tangent_penalty
-        S, penalty_pairs = sweep(layers, d1s, ratios, A, B)
+        S, penalty_pairs = _penalty(layers, d1s, ratios, A, B)
         E = S - C
-        PENALTY_FLOPS.count += E.size
-        if wgt is not None:
-            wE = wgt * E
-            PENALTY_FLOPS.count += E.size
-        else:
-            wE = E
+        wE = E if wgt is None else wgt * E
+        PENALTY_FLOPS.count += E.size * (1 if wgt is None else 2)
         loss += cfg.h1_weight * float(np.sum(wE * E)) / nbatch
         pairs = penalty_pairs((2.0 * cfg.h1_weight / nbatch) * wE)
 

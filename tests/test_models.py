@@ -169,8 +169,7 @@ class TestSolveState:
     def test_overflowing_parameter_fails_explicitly(self, model9):
         m = np.zeros(model9.d_m)
         m[40] = 800.0  # e^m overflows
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NewtonConvergenceError) as info:
+        with pytest.raises(NewtonConvergenceError) as info:
             solve_state(model9, m)
         assert len(info.value.history) == 1
         assert not np.isfinite(info.value.history[0])

@@ -3,6 +3,7 @@ weight gradients of every loss formulation (checked against finite
 differences and against cross-formulation identities)."""
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from derivop.netop import (
     _mlp_forward,
     _ms_target,
     _ms_weight,
+    _penalty,
     _tangent_tape,
     forward,
     full_space_jacobian,
@@ -217,7 +219,7 @@ class TestJacobian:
                 fwd = a.transpose(0, 2, 1) @ fwd
             QL = None if a is None else np.ascontiguousarray(
                 a.transpose(1, 0, 2))
-            *_, (_, Q) = _adjoint_sweep(layers, d1s, QL, FlopCounter())
+            *_, (Q, _) = _adjoint_sweep(layers, d1s, QL, FlopCounter())
             adj = Q.transpose(1, 2, 0)
             if b is not None:
                 adj = adj @ b
@@ -679,6 +681,99 @@ class TestPenaltyFlops:
             else tangent_flops(widths)
         assert self.count(model, batch, LossConfig(variant="h1_full")) \
             == 3 * want
+
+
+def tangent_item_flops(widths, n, cols, identity):
+    """Multiplies of each T_l, l = 1..L: its GEMM (none off an identity
+    T_0) and its d1 scaling."""
+    return [n * cols * (w_out + (0 if identity and l == 0 else w_out * w_in))
+            for l, (w_in, w_out) in enumerate(zip(widths, widths[1:]))]
+
+
+def adjoint_item_flops(widths, n, rows, identity):
+    """Multiplies of each (Q_l, P_l), l = L..0: Q_l's GEMM (none for the
+    seed Q_L, a d1 scaling for Q_{L-1} off an identity Q_L) and the d1
+    scaling P_l = d1_l * Q_l (none for an identity Q_L or for Q_0)."""
+    L = len(widths) - 1
+    items = []
+    for l in range(L, -1, -1):
+        form_q = 0 if l == L else widths[l] * (
+            1 if identity and l == L - 1 else widths[l + 1])
+        form_p = 0 if l == 0 or (identity and l == L) else widths[l]
+        items.append(n * rows * (form_q + form_p))
+    return items
+
+
+class TestLazySweeps:
+    """Each pull of a sweep forms only the arrays it yields, so a consumer
+    that stops early pays for nothing more: the penalty gradient never
+    forms Q_0, nor T_L after an identity Q_L."""
+
+    WIDTHS = (5, 7, 6, 3)
+    N = 4
+
+    def sweep_inputs(self, n=N):
+        rng = np.random.default_rng(22)
+        spec = MLPSpec(widths=self.WIDTHS, activations=("softplus",) * 3)
+        weights = NetworkWeights.init(spec)
+        _, d1s, ratios = _mlp_forward(weights,
+                                      rng.standard_normal((n, spec.d_in)))
+        return weights.layers(), d1s, ratios, rng
+
+    @pytest.mark.parametrize("identity", [False, True],
+                             ids=["explicit", "identity"])
+    @pytest.mark.parametrize("k", range(4))
+    def test_tangent_tape(self, k, identity):
+        layers, d1s, _, rng = self.sweep_inputs()
+        cols = self.WIDTHS[0] if identity else 2
+        T0 = None if identity else rng.standard_normal(
+            (self.WIDTHS[0], self.N, cols))
+        flops = FlopCounter()
+        got = list(islice(_tangent_tape(layers, d1s, T0, flops), k))
+        assert [T.shape for T in got] == \
+            [(w, self.N, cols) for w in self.WIDTHS[1:k + 1]]
+        assert flops.count == sum(
+            tangent_item_flops(self.WIDTHS, self.N, cols, identity)[:k])
+
+    @pytest.mark.parametrize("identity", [False, True],
+                             ids=["explicit", "identity"])
+    @pytest.mark.parametrize("k", range(5))
+    def test_adjoint_sweep(self, k, identity):
+        layers, d1s, _, rng = self.sweep_inputs()
+        rows = self.WIDTHS[-1] if identity else 2
+        QL = None if identity else rng.standard_normal(
+            (self.WIDTHS[-1], self.N, rows))
+        flops = FlopCounter()
+        got = list(islice(_adjoint_sweep(layers, d1s, QL, flops), k))
+        widths = self.WIDTHS[::-1][:k]
+        for l, (w, (Q, P)) in enumerate(zip(widths, got)):
+            if identity and l == 0:
+                assert Q is None and P is None
+                continue
+            assert Q.shape == (w, self.N, rows)
+            if l == len(layers):
+                assert P is None
+            else:
+                np.testing.assert_array_equal(P, Q * d1s[-1 - l].T[:, :, None])
+        assert flops.count == sum(
+            adjoint_item_flops(self.WIDTHS, self.N, rows, identity)[:k])
+
+
+    # The gradient forms P_l in place over Q_l, so Q_L must never be a view
+    # of the caller's A.  With one sample, A's transposed view is contiguous
+    # (np.ascontiguousarray would not copy it).
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2)],
+                             ids=["adjoint", "tangent"])
+    def test_penalty_leaves_its_factors_unchanged(self, n, rows, cols):
+        layers, d1s, ratios, rng = self.sweep_inputs(n)
+        A = rng.standard_normal((n, self.WIDTHS[-1], rows))
+        B = rng.standard_normal((n, self.WIDTHS[0], cols))
+        A0, B0 = A.copy(), B.copy()
+        S, pairs = _penalty(layers, d1s, ratios, A, B)
+        pairs(rng.standard_normal(S.shape))
+        np.testing.assert_array_equal(A, A0)
+        np.testing.assert_array_equal(B, B0)
 
 
 class TestPersistence:
