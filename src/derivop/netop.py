@@ -45,7 +45,6 @@ that projects samples onto the bases.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import datagen, io
 from .bases import ReducedBasisPair
@@ -55,17 +54,22 @@ Batch = datagen.Dataset
 
 # --- activations -------------------------------------------------------------
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _softplus(A):
+    """Softplus, d1 = expit(A) and d2/d1 = expit(-A), from one e = exp(-|A|):
+    log(1 + e^A) = max(A, 0) + log1p(e), and d1 and d2/d1 are 1 or e over
+    1 + e."""
+    e = np.exp(-np.abs(A))
+    pos, e1 = A >= 0, 1.0 + e
+    return (np.maximum(A, 0.0) + np.log1p(e), np.where(pos, 1.0, e) / e1,
+            np.where(pos, e, 1.0) / e1)
 
 
 _ACTIVATIONS = {
-    # value, first derivative, and the ratio d2/d1 of second to first
-    # derivative (finite everywhere, so the tape need not keep W_l T_{l-1})
-    "softplus": (_softplus, expit, lambda x: expit(-x)),
-    "linear": (lambda x: x,
-               lambda x: np.ones_like(x),
-               lambda x: np.zeros_like(x)),
+    # A -> (value, first derivative d1, ratio d2/d1 of second to first
+    # derivative); d2/d1 is finite everywhere, so the tape need not keep
+    # W_l T_{l-1}
+    "softplus": _softplus,
+    "linear": lambda A: (A, np.ones_like(A), np.zeros_like(A)),
 }
 
 
@@ -122,6 +126,12 @@ class NetworkWeights:
             raise ValueError(f"flat length {flat.shape} != d_w = {spec.d_w}")
         self.spec = spec
         self.flat = flat
+        self._layers, offset = [], 0
+        for fi, fo in zip(spec.widths, spec.widths[1:]):
+            W = flat[offset:offset + fo * fi].reshape(fo, fi)
+            offset += fo * fi
+            self._layers.append((W, flat[offset:offset + fo]))
+            offset += fo
 
     @classmethod
     def init(cls, spec):
@@ -135,26 +145,9 @@ class NetworkWeights:
             parts.append(np.zeros(fan_out))
         return cls(spec, np.concatenate(parts))
 
-    @classmethod
-    def from_layers(cls, spec, layers):
-        parts = []
-        for W, b in layers:
-            parts.append(np.asarray(W, dtype=float).ravel())
-            parts.append(np.asarray(b, dtype=float).ravel())
-        return cls(spec, np.concatenate(parts))
-
     def layers(self):
-        """List of (W_l, b_l) views into the flat vector."""
-        out = []
-        offset = 0
-        for l in range(self.spec.num_layers):
-            fi, fo = self.spec.widths[l], self.spec.widths[l + 1]
-            W = self.flat[offset:offset + fo * fi].reshape(fo, fi)
-            offset += fo * fi
-            b = self.flat[offset:offset + fo]
-            offset += fo
-            out.append((W, b))
-        return out
+        """List of (W_l, b_l) views into the flat vector, built once."""
+        return self._layers
 
 
 @dataclass(eq=False)
@@ -202,11 +195,12 @@ def _mlp_forward(weights, X):
     zs = [X]
     d1s, ratios = [], []
     for (W, b), act_name in zip(weights.layers(), spec.activations):
-        act, d1, ratio = _ACTIVATIONS[act_name]
-        A = zs[-1] @ W.T + b
-        zs.append(act(A))
-        d1s.append(d1(A))
-        ratios.append(ratio(A))
+        A = zs[-1] @ W.T
+        A += b
+        value, d1, ratio = _ACTIVATIONS[act_name](A)
+        zs.append(value)
+        d1s.append(d1)
+        ratios.append(ratio)
     return zs, d1s, ratios
 
 
@@ -479,19 +473,18 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
         loss += cfg.h1_weight * float(np.sum(wE * E)) / nbatch
         pairs = penalty_pairs((2.0 * cfg.h1_weight / nbatch) * wE)
 
-    grads = []
+    grad = NetworkWeights(weights.spec, np.empty_like(weights.flat))
     for l in range(len(layers) - 1, -1, -1):
-        W = layers[l][0]
+        (W, _), (gW, gb) = layers[l], grad.layers()[l]
         g_a = seed * d1s[l]
         if pairs is not None:
             g_a += pairs[l][1]
-        gW = g_a.T @ zs[l]
+        np.matmul(g_a.T, zs[l], out=gW)
         if pairs is not None:
             gW += pairs[l][0]
-        grads.append((gW, g_a.sum(axis=0)))
+        g_a.sum(axis=0, out=gb)
         if l > 0:
             seed = g_a @ W
-    grad = NetworkWeights.from_layers(weights.spec, grads[::-1])
     return loss, grad.flat
 
 

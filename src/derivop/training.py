@@ -92,20 +92,33 @@ class AdamState:
 
 
 def adam_step(state, w, g):
-    """One bias-corrected Adam update; returns the new (state, weights)."""
+    """One bias-corrected Adam update (Kingma & Ba, 2015), in place: it
+    overwrites ``state.m``, ``state.v`` and ``w``, advances ``state.step``
+    and returns (state, w).  A rejected gradient changes nothing."""
     g = np.asarray(g, dtype=float)
     if g.shape != w.shape:
         raise ValueError("gradient shape mismatch")
     if not np.all(np.isfinite(g)):
         bad = int(np.argmax(~np.isfinite(g)))
         raise TrainingError(f"non-finite gradient component at index {bad}")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g**2
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    w_new = w - state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m=m, v=v, step=t, alpha=state.alpha), w_new
+    t = state.step = state.step + 1
+    m, v = state.m, state.v
+    # the out-of-place formula's operation order, so the bits stay the same
+    tmp = np.multiply(1.0 - ADAM_BETA1, g)
+    m *= ADAM_BETA1
+    m += tmp
+    np.square(g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += tmp
+    den = np.divide(v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
+    tmp *= state.alpha
+    tmp /= den
+    w -= tmp
+    return state, w
 
 
 @dataclass
@@ -137,6 +150,8 @@ def _training_set(data, model, cfg):
                          f"factors; the set lacks {', '.join(missing)}")
     if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
         raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
+    if cfg.variant == "l2":  # nothing to project but m and q
+        data = replace(data, **dict.fromkeys(unread))
     if model.kind == "reduced_basis":
         data = reduce_dataset(data, model.bases)
     return replace(data, meta=None, **dict.fromkeys(unread))
@@ -170,7 +185,8 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     n = train_set.size
     rng = np.random.default_rng(seed)
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
-    w = model.weights.flat.copy()
+    w = model.weights.flat.copy()  # adam_step updates it in place
+    current = model.with_weights(w)
     history = TrainHistory(seed=seed)
     rank = train_set.rank if cfg.variant == "h1_truncated_ms" else None
 
@@ -185,7 +201,6 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
             if cfg.variant == "h1_truncated_ms" and cfg.ms_redraw == "batch":
                 ms_idx = subsample_indices(rank, cfg.k, cfg.ms_mode, rng)
             batch = train_set.subset(idx)
-            current = model.with_weights(w)
             try:
                 loss, grad = loss_and_grad(current, batch, cfg, ms_idx=ms_idx)
                 state, w = adam_step(state, w, grad)
@@ -193,11 +208,10 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
                 raise TrainingError(
                     f"epoch {epoch}, batch at sample {start}: {exc}") from exc
             epoch_loss += loss * len(idx)
-        model = model.with_weights(w)
         history.train_loss.append(epoch_loss / n)
         history.holdout_loss.append(
-            None if held is None else _mean_loss(model, held, cfg))
-    return model, history
+            None if held is None else _mean_loss(current, held, cfg))
+    return model.with_weights(w.copy()), history
 
 
 def write_history(history, path):

@@ -70,6 +70,12 @@ def make_reduced(d_m, d_q, r_in, r_out, hidden, rng, seed=0):
                          weights=NetworkWeights.init(spec), bases=bases)
 
 
+def weights_of(spec, layers):
+    """NetworkWeights whose flat vector concatenates per-layer (W, b)."""
+    return NetworkWeights(spec, np.concatenate(
+        [np.ravel(a) for pair in layers for a in pair]))
+
+
 def random_factor_batch(d_m, d_q, r, n, rng, jac_r_dims=None, latent=False):
     """Random batch with orthonormal per-sample Jacobian factors."""
     U = np.stack([random_orthonormal(d_q, r, rng) for _ in range(n)])
@@ -219,7 +225,7 @@ def test_05_reduced_basis_gradient_identity(capsys):
         glayers = [(psi.T, np.zeros(r_in))] + list(inner) + [(phi, b)]
         generic = OperatorModel(
             kind="generic", spec=gspec,
-            weights=NetworkWeights.from_layers(gspec, glayers))
+            weights=weights_of(gspec, glayers))
         batch = random_factor_batch(d_m, d_q, min(d_m, d_q), 3, rng)
         batch.jac_r = np.stack([
             phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])

@@ -7,12 +7,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
 from derivop.io import LoadError
 from derivop.netop import (
     PENALTY_FLOPS,
+    _ACTIVATIONS,
     Batch,
     FlopCounter,
     MLPSpec,
@@ -46,6 +48,12 @@ def make_reduced(d_m, d_q, r_in, r_out, hidden, rng, seed=0):
     spec = MLPSpec.dense((r_in, *hidden, r_out), init_seed=seed)
     return OperatorModel(kind="reduced_basis", spec=spec,
                          weights=NetworkWeights.init(spec), bases=bases)
+
+
+def weights_of(spec, layers):
+    """NetworkWeights whose flat vector concatenates per-layer (W, b)."""
+    return NetworkWeights(spec, np.concatenate(
+        [np.ravel(a) for pair in layers for a in pair]))
 
 
 def make_generic(d_m, d_q, hidden, seed=0):
@@ -103,7 +111,7 @@ ALL_CFGS = [
 class TestForward:
     def test_identity_linear_network(self):
         spec = MLPSpec(widths=(3, 3), activations=("linear",))
-        weights = NetworkWeights.from_layers(spec, [(np.eye(3), np.zeros(3))])
+        weights = weights_of(spec, [(np.eye(3), np.zeros(3))])
         model = OperatorModel(kind="generic", spec=spec, weights=weights)
         m = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(forward(model, m), m)
@@ -121,7 +129,7 @@ class TestForward:
 
     def test_softplus_at_zero(self):
         spec = MLPSpec(widths=(1, 1), activations=("softplus",))
-        weights = NetworkWeights.from_layers(spec, [(np.eye(1), np.zeros(1))])
+        weights = weights_of(spec, [(np.eye(1), np.zeros(1))])
         model = OperatorModel(kind="generic", spec=spec, weights=weights)
         assert forward(model, np.zeros(1))[0] == pytest.approx(np.log(2.0))
 
@@ -139,12 +147,43 @@ class TestForward:
             forward(model, np.zeros(6))
 
 
+def within_ulps(got, ref, ulps):
+    return np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref)))
+
+
+class TestActivations:
+    A = np.concatenate([np.linspace(-745.0, 745.0, 20001),
+                        [0.0, 1e-300, -1e-300],
+                        np.geomspace(1e-300, 745.0, 601),
+                        -np.geomspace(1e-300, 745.0, 601)])
+
+    @staticmethod
+    def expit_ref(x):
+        # scipy's expit underflows to 0 below about -709.78, where
+        # expit(x) = exp(x) to double precision
+        return np.where(x < -700.0, np.exp(np.minimum(x, -700.0)), expit(x))
+
+    def test_softplus_matches_separate_passes(self):
+        A = self.A
+        value, d1, ratio = _ACTIVATIONS["softplus"](A)
+        assert within_ulps(value, np.logaddexp(0.0, A), 4)
+        assert within_ulps(d1, self.expit_ref(A), 4)
+        assert within_ulps(ratio, self.expit_ref(-A), 4)
+
+    def test_linear_is_exact(self):
+        A = self.A.reshape(2, -1)
+        value, d1, ratio = _ACTIVATIONS["linear"](A)
+        assert value is A
+        np.testing.assert_array_equal(d1, np.ones_like(A))
+        np.testing.assert_array_equal(ratio, np.zeros_like(A))
+
+
 class TestJacobian:
     def test_linear_network_jacobian_is_weight_matrix(self):
         rng = np.random.default_rng(2)
         W = rng.standard_normal((3, 5))
         spec = MLPSpec(widths=(5, 3), activations=("linear",))
-        weights = NetworkWeights.from_layers(spec, [(W, rng.standard_normal(3))])
+        weights = weights_of(spec, [(W, rng.standard_normal(3))])
         model = OperatorModel(kind="generic", spec=spec, weights=weights)
         np.testing.assert_allclose(parametric_jacobian(model, np.zeros(5)), W)
 
@@ -287,7 +326,7 @@ class TestLossAndGrad:
             glayers = [(psi.T, np.zeros(r_in))] + list(inner) + [(phi, b)]
             generic = OperatorModel(
                 kind="generic", spec=gspec,
-                weights=NetworkWeights.from_layers(gspec, glayers))
+                weights=weights_of(gspec, glayers))
             batch = batch_from_model(generic, 3, rng, exact=False)
             batch.jac_r = np.stack([
                 phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])
@@ -440,8 +479,7 @@ def loop_loss_and_grad(model, batch, cfg, ms_idx=None):
                 M = M @ B.T
         _loop_accumulate(layers, [z[i] for z in zs], d1, [d[i] for d in d2s],
                          M, gWs, gbs, seeds[i])
-    grad = NetworkWeights.from_layers(model.spec, list(zip(gWs, gbs)))
-    return loss, grad.flat
+    return loss, weights_of(model.spec, list(zip(gWs, gbs))).flat
 
 
 REFERENCE_CFGS = [

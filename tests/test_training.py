@@ -166,11 +166,22 @@ class TestMSPenalty:
             ms_penalty(jac, model_jac, (np.array([3]), np.array([0])))
 
 
+def adam_oracle(state, w, g):
+    """The out-of-place Adam update that ``adam_step`` does in place."""
+    t = state.step + 1
+    m = training.ADAM_BETA1 * state.m + (1.0 - training.ADAM_BETA1) * g
+    v = training.ADAM_BETA2 * state.v + (1.0 - training.ADAM_BETA2) * g**2
+    m_hat = m / (1.0 - training.ADAM_BETA1**t)
+    v_hat = v / (1.0 - training.ADAM_BETA2**t)
+    w_new = w - state.alpha * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+    return AdamState(m=m, v=v, step=t, alpha=state.alpha), w_new
+
+
 class TestAdam:
     def test_zero_gradient_keeps_weights(self):
         w = np.array([1.0, -2.0, 0.5])
         state = AdamState.fresh(3)
-        new_state, w_new = adam_step(state, w, np.zeros(3))
+        new_state, w_new = adam_step(state, w.copy(), np.zeros(3))
         np.testing.assert_array_equal(w_new, w)
         assert new_state.step == 1
 
@@ -182,20 +193,55 @@ class TestAdam:
         assert w_new[0] == pytest.approx(-9.99999e-4, rel=1e-6)
 
     def test_determinism(self):
+        # copies: the step updates its state and weights in place, so
+        # shared arrays would make the comparison trivially true
         rng = np.random.default_rng(10)
         w = rng.standard_normal(6)
         g = rng.standard_normal(6)
-        s1, w1 = adam_step(AdamState.fresh(6), w, g)
-        s2, w2 = adam_step(AdamState.fresh(6), w, g)
+        s1, w1 = adam_step(AdamState.fresh(6), w.copy(), g)
+        s2, w2 = adam_step(AdamState.fresh(6), w.copy(), g)
         np.testing.assert_array_equal(w1, w2)
         s1b, w1b = adam_step(s1, w1, g)
         s2b, w2b = adam_step(s2, w2, g)
         np.testing.assert_array_equal(w1b, w2b)
 
+    def test_in_place_matches_out_of_place_bitwise(self):
+        rng = np.random.default_rng(11)
+        d = 257
+        w = rng.standard_normal(d)
+        state = AdamState.fresh(d, alpha=3e-3)
+        ref_state, ref_w = AdamState.fresh(d, alpha=3e-3), w.copy()
+        m, v = state.m, state.v
+        for _ in range(300):
+            g = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 2, d)
+            ref_state, ref_w = adam_oracle(ref_state, ref_w, g)
+            out_state, out_w = adam_step(state, w, g)
+            assert out_state is state and out_w is w
+            assert state.m is m and state.v is v
+            np.testing.assert_array_equal(state.m, ref_state.m)
+            np.testing.assert_array_equal(state.v, ref_state.v)
+            np.testing.assert_array_equal(w, ref_w)
+        assert state.step == ref_state.step == 300
+
     def test_non_finite_gradient_rejected(self):
         state = AdamState.fresh(2)
         with pytest.raises(TrainingError):
             adam_step(state, np.zeros(2), np.array([1.0, np.nan]))
+
+    def test_rejected_gradient_changes_nothing(self):
+        rng = np.random.default_rng(12)
+        state, w = AdamState.fresh(5), rng.standard_normal(5)
+        adam_step(state, w, rng.standard_normal(5))
+        before = (state.m.copy(), state.v.copy(), state.step, w.copy())
+        for bad in (np.nan, np.inf):
+            g = rng.standard_normal(5)
+            g[3] = bad
+            with pytest.raises(TrainingError):
+                adam_step(state, w, g)
+            np.testing.assert_array_equal(state.m, before[0])
+            np.testing.assert_array_equal(state.v, before[1])
+            assert state.step == before[2]
+            np.testing.assert_array_equal(w, before[3])
 
 
 class TestTrain:
@@ -229,6 +275,19 @@ class TestTrain:
             runs.append((out.weights.flat.copy(), list(hist.train_loss)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+    def test_caller_weights_untouched(self, toy_ds):
+        # train updates its own copy in place and returns another copy
+        model = self._model(toy_ds, seed=3)
+        w0 = model.weights.flat.copy()
+        cfg = LossConfig(variant="h1_truncated")
+        outs = [train(toy_ds, model, cfg, epochs=3, batch_size=16, seed=5,
+                      holdout=toy_ds)[0] for _ in range(2)]
+        np.testing.assert_array_equal(model.weights.flat, w0)
+        assert not np.shares_memory(outs[0].weights.flat,
+                                    outs[1].weights.flat)
+        np.testing.assert_array_equal(outs[0].weights.flat,
+                                      outs[1].weights.flat)
 
     def test_different_seeds_differ(self, toy_ds):
         cfg = LossConfig(variant="l2")
