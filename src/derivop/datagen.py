@@ -228,12 +228,13 @@ def project_factors(ds, bases):
     return np.matmul(phi.T, ds.jac_u), right.transpose(0, 2, 1)
 
 
-def reduce_dataset(ds, bases):
+def reduce_dataset(ds, bases, form_jac_r):
     """The set in the latent coordinates of a basis pair: m Psi and
     (q - b) Phi; for a set with factors, also the projected factors
-    Phi^T U_i and Psi^T V_i and jac_r = Phi^T (U S V^T) Psi, which
-    replaces any jac_r the set carries.  Every other field passes through
-    unchanged, so a set without factors keeps its jac_r.
+    Phi^T U_i and Psi^T V_i and jac_r = Phi^T (U S V^T) Psi if
+    ``form_jac_r`` (else None), which replaces any jac_r the set carries.
+    Every other field passes through unchanged, so a set without factors
+    keeps its jac_r.
 
     jac_r is assembled from the stored factors; no d_Q x d_M matrix is
     ever formed.  Exact when the stored rank captures the full reduced SVD
@@ -244,7 +245,8 @@ def reduce_dataset(ds, bases):
     factors = {}
     if ds.jac_sigma is not None:
         left, right = project_factors(ds, bases)
-        jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1)
+        jac_r = (left * ds.jac_sigma[:, None, :]) @ right.transpose(0, 2, 1) \
+            if form_jac_r else None
         factors = dict(jac_u=left, jac_v=right, jac_r=jac_r)
     return replace(ds, m=ds.m @ bases.psi, q=(ds.q - bases.b) @ bases.phi,
                    latent=True, **factors)

@@ -8,10 +8,12 @@ when every sample has zero norm.  A metric reads a model only through a
 ModelOutputs record of its predictions and stacked Jacobians on the test
 set, which ``model_outputs`` builds in one pass (``evaluate`` builds it once
 for all metrics); every metric is batched array algebra over the record.
-Reduced-basis Jacobians stay latent and the residuals are expanded through
-the stored SVD factors.  No model forms a d_M x d_M matrix: with JV = J V
-and P = J - JV V^T, the GN error of a dense J splits on range(V) into sums
-of squares whose largest product is d_Q x d_Q,
+A net's Jacobians stay latent in a basis pair, a reduced-basis net's own
+and a generic net's factored through its first layer, and the residuals are
+expanded through the stored SVD factors: no net forms a d_Q x d_M matrix.
+Only a record built from dense Jacobians takes the dense path, which forms
+no d_M x d_M matrix: with JV = J V and P = J - JV V^T, the GN error splits
+on range(V) into sums of squares whose largest product is d_Q x d_Q,
 ||V S^2 V^T - J^T J||^2 = ||S^2 - JV^T JV||^2 + 2 ||P^T JV||^2 + ||P P^T||^2,
 and the first term is the reduced (rgn) error.
 """
@@ -22,11 +24,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import qr
 
+from .bases import ReducedBasisPair
 from .datagen import project_factors
-from .netop import forward, parametric_jacobian
+from .netop import forward, parametric_jacobian, preactivation_jacobian
 
-# Test rows per block: the network's Jacobian sweep and the dense residuals
+# Test rows per block: a net's Jacobian sweep and a dense record's residuals
 # run one block at a time, so their transient memory stays bounded.
 _BLOCK_ROWS = 8
 METRICS = ("l2", "h1", "grad", "gn", "rgn")
@@ -65,9 +69,11 @@ def _blocks(n):
 @dataclass(frozen=True)
 class ModelOutputs:
     """What the metrics read of a model on a test set: ``preds`` (n, d_Q)
-    and ``jac``, latent (n, r_Q, r_M) for a reduced-basis model, whose
-    ``bases`` pair and ``projected = project_factors(test_ds, bases)`` come
-    with it; dense (n, d_Q, d_M), with both None, otherwise."""
+    and ``jac``, a net's latent (n, r_Q, r_M) Jacobians in its ``bases``
+    pair (a generic net's factored through W_1), with ``projected =
+    project_factors(test_ds, bases)``; or dense (n, d_Q, d_M), with both
+    None, in a record built from dense Jacobians, the only kind that takes
+    the range(V) split."""
 
     preds: np.ndarray
     jac: np.ndarray
@@ -77,19 +83,24 @@ class ModelOutputs:
 
 def model_outputs(model, test_ds):
     """The ModelOutputs of an OperatorModel on ``test_ds`` (a ModelOutputs
-    comes back unchanged).  ``parametric_jacobian`` runs a block of rows at
-    a time, on the adjoint sweep when the net's output is narrower than its
-    input (d_Q < d_M, r_Q < r_M) and on the tangent tape otherwise."""
+    comes back unchanged), one block of rows at a time.  A reduced-basis
+    net's Jacobians are its latent ``parametric_jacobian``.  A generic
+    net's factor through its first layer: with W_1^T = Q R,
+    J = K W_1 = (K R^T) Q^T for K from ``preactivation_jacobian``, so it
+    keeps K R^T, d_Q x min(n_1, d_M), in the pair (Q, I, 0)."""
     if isinstance(model, ModelOutputs):
         return model
-    preds = forward(model, test_ds.m)
-    jac = np.empty((test_ds.n_samples, model.spec.d_out, model.spec.d_in))
-    for b in _blocks(test_ds.n_samples):
-        jac[b] = parametric_jacobian(model, test_ds.m[b])
+    bases, R = model.bases, None
     if model.kind != "reduced_basis":
-        return ModelOutputs(preds, jac, None, None)
-    return ModelOutputs(preds, jac, model.bases,
-                        project_factors(test_ds, model.bases))
+        Q, R = qr(model.weights.layers()[0][0].T, mode="economic")
+        bases = ReducedBasisPair(psi=Q, phi=np.eye(model.d_q),
+                                 b=np.zeros(model.d_q), tag="first layer")
+    preds = forward(model, test_ds.m)
+    jac = np.empty((test_ds.n_samples, bases.rank_out, bases.rank_in))
+    for b in _blocks(test_ds.n_samples):
+        jac[b] = parametric_jacobian(model, test_ds.m[b]) if R is None \
+            else preactivation_jacobian(model, test_ds.m[b]) @ R.T
+    return ModelOutputs(preds, jac, bases, project_factors(test_ds, bases))
 
 
 def _accuracy(ratios):
@@ -211,8 +222,8 @@ def _gn_error2(s2, V, J):
 def gauss_newton_accuracies(model, test_ds):
     """Full and V_r-reduced Gauss-Newton Hessian accuracies.
 
-    Dense model Jacobians use the orthogonal split of the module docstring;
-    reduced-basis ones expand the full error through Psi^T V.
+    A dense record's Jacobians use the orthogonal split of the module
+    docstring; a net's latent ones expand the full error through Psi^T V.
     """
     out = model_outputs(model, test_ds)
     J = out.jac

@@ -305,6 +305,24 @@ def parametric_jacobian(model, m):
     return J[0] if m.ndim == 1 else J
 
 
+def preactivation_jacobian(model, m):
+    """K(m) = df/dA_1 of a generic net, d_Q x n_1 per row of the batch
+    ``m``, so that J(m) = K(m) W_1 (A_1 = W_1 m + b_1).  Neither sweep
+    reaches the d_M-wide W_1: the adjoint one stops at P_1 when d_Q < n_1,
+    else the tangent tape starts from T_1 = diag(d1_1)."""
+    _, d1s, _ = _mlp_forward(model.weights, m)
+    layers, d1 = model.weights.layers(), d1s[0]
+    if model.spec.d_out < d1.shape[1]:
+        sweep = _adjoint_sweep(layers, d1s, None, FlopCounter())
+        for _, (_, P) in zip(layers, sweep):  # pulls (Q_l, P_l), l = L..1
+            pass
+        return P.transpose(1, 2, 0)
+    T = d1.T[:, :, None] * np.eye(d1.shape[1])[:, None, :]
+    for T in _tangent_tape(layers[1:], d1s[1:], T, FlopCounter()):
+        pass
+    return T.transpose(1, 0, 2)
+
+
 def full_space_jacobian(model, m):
     """d_Q x d_M Jacobian; materializes Phi J Psi^T for reduced models."""
     J = parametric_jacobian(model, m)
@@ -450,7 +468,8 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     if batch.latent != (model.kind == "reduced_basis"):
         if batch.latent:
             raise ValueError("latent batches require a reduced-basis model")
-        batch = datagen.reduce_dataset(batch, model.bases)
+        batch = datagen.reduce_dataset(batch, model.bases,
+                                       cfg.variant == "h1_full")
     weights = model.weights
     layers = weights.layers()
     nbatch = batch.size

@@ -153,7 +153,7 @@ def _training_set(data, model, cfg):
     if cfg.variant == "l2":  # nothing to project but m and q
         data = replace(data, **dict.fromkeys(unread))
     if model.kind == "reduced_basis":
-        data = reduce_dataset(data, model.bases)
+        data = reduce_dataset(data, model.bases, "jac_r" not in unread)
     return replace(data, meta=None, **dict.fromkeys(unread))
 
 

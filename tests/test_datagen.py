@@ -263,7 +263,7 @@ class TestPersistence:
         pair = TestReduce._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
                                 np.zeros(toy_ds.d_q), None, None)
         with pytest.raises(ValueError):
-            save_dataset(reduce_dataset(toy_ds, pair), tmp_path / "d")
+            save_dataset(reduce_dataset(toy_ds, pair, True), tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
     def test_set_without_factors_not_saved(self, tmp_path, toy_ds):
@@ -292,7 +292,7 @@ class TestReduce:
         psi = np.eye(d_m)[:, :4]
         phi = np.eye(d_q)
         red = reduce_dataset(toy_ds, self._pair(psi, phi, np.zeros(d_q),
-                                                d_m, d_q))
+                                                d_m, d_q), True)
         np.testing.assert_allclose(red.m, toy_ds.m[:, :4])
         np.testing.assert_allclose(red.q, toy_ds.q)
         dense0 = (toy_ds.jac_u[0] * toy_ds.jac_sigma[0]) @ toy_ds.jac_v[0].T
@@ -304,7 +304,7 @@ class TestReduce:
         phi, _ = np.linalg.qr(rng.standard_normal((rd_ds.d_q, 4)))
         b = rng.standard_normal(rd_ds.d_q)
         red = reduce_dataset(rd_ds, self._pair(psi, phi, b,
-                                               rd_ds.d_m, rd_ds.d_q))
+                                               rd_ds.d_m, rd_ds.d_q), True)
         for i in range(rd_ds.n_samples):
             dense = (rd_ds.jac_u[i] * rd_ds.jac_sigma[i]) @ rd_ds.jac_v[i].T
             np.testing.assert_allclose(red.jac_r[i], phi.T @ dense @ psi,
@@ -316,7 +316,7 @@ class TestReduce:
         psi = np.eye(toy_ds.d_m)[:, :3]
         b = toy_ds.q.mean(axis=0)
         red = reduce_dataset(toy_ds, self._pair(psi, phi, b,
-                                                toy_ds.d_m, d_q))
+                                                toy_ds.d_m, d_q), True)
         np.testing.assert_allclose(red.q.mean(axis=0), 0.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, toy_ds):
@@ -325,16 +325,16 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_dataset(toy_ds, self._pair(psi, phi,
                                               np.zeros(toy_ds.d_q), 7,
-                                              toy_ds.d_q))
+                                              toy_ds.d_q), True)
 
     def test_latent_set_rejected(self, toy_ds):
         # square bases pass the dimension check on a latent set, whose q
         # would then have b subtracted twice
         d_m, d_q = toy_ds.d_m, toy_ds.d_q
         pair = self._pair(np.eye(d_m), np.eye(d_q), np.ones(d_q), d_m, d_q)
-        latent = reduce_dataset(toy_ds, pair)
+        latent = reduce_dataset(toy_ds, pair, True)
         with pytest.raises(ValueError, match="latent"):
-            reduce_dataset(latent, pair)
+            reduce_dataset(latent, pair, True)
 
     def test_subset_preserves_samples(self, toy_ds):
         sub = toy_ds.subset([2, 0, 5])
@@ -355,15 +355,25 @@ class TestReduce:
                           np.zeros(toy_ds.d_q), None, None)
         jac_r = np.ones((toy_ds.n_samples, toy_ds.d_q, 4))
         red = reduce_dataset(Dataset(m=toy_ds.m, q=toy_ds.q, jac_r=jac_r),
-                             pair)
+                             pair, True)
         assert red.latent and red.jac_u is None and red.jac_sigma is None
         assert red.jac_r is jac_r
         np.testing.assert_array_equal(red.m, toy_ds.m[:, :4])
 
+    def test_jac_r_left_out_on_request(self, toy_ds):
+        pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
+                          np.zeros(toy_ds.d_q), None, None)
+        full = reduce_dataset(toy_ds, pair, True)
+        red = reduce_dataset(toy_ds, pair, False)
+        assert red.jac_r is None and full.jac_r is not None
+        for name in ("m", "q", "jac_u", "jac_sigma", "jac_v"):
+            np.testing.assert_array_equal(getattr(red, name),
+                                          getattr(full, name))
+
     def test_subset_of_latent_set_stays_latent(self, toy_ds):
         pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),
                           np.zeros(toy_ds.d_q), None, None)
-        latent = replace(reduce_dataset(toy_ds, pair), jac_u=None,
+        latent = replace(reduce_dataset(toy_ds, pair, True), jac_u=None,
                          jac_sigma=None, jac_v=None)
         sub = latent.subset(np.array([3, 1]))
         assert sub.latent and sub.jac_u is None

@@ -179,8 +179,8 @@ class TestH1Accuracy:
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_net_matches_dense_oracle(self, toy_ds, kind):
-        # reduced-basis nets take the factored expansion, generic ones the
-        # dense residual; both against the brute-force full-space Jacobian
+        # both kinds take the factored expansion, a generic net's through
+        # its first layer; both against the brute-force full-space Jacobian
         model = make_model(kind, toy_ds, seed=3)
         acc, ratios, _ = h1_seminorm_accuracy(model, toy_ds)
         oracle = []
@@ -457,6 +457,63 @@ class TestBatchedVsLoop:
             evaluate(model, ds17, metrics=("l3", "H1"))
 
 
+def generic_net(widths, seed):
+    spec = MLPSpec.dense(widths, init_seed=seed)
+    return OperatorModel(kind="generic", spec=spec,
+                         weights=NetworkWeights.init(spec))
+
+
+@pytest.fixture(scope="module")
+def wide_out_ds():
+    """17 samples of a toy map whose output (12) is wider than its input
+    (6)."""
+    rng = np.random.default_rng(21)
+    toy = ToyMap(B=rng.standard_normal((12, 5)) / np.sqrt(5),
+                 C=rng.standard_normal((5, 6)) / np.sqrt(6))
+    return generate_dataset(toy, None, 17, rank=5, seed=22)
+
+
+class TestFactoredGeneric:
+    """A generic net's record is latent through its first layer,
+    J = (K R^T) Q^T with W_1^T = Q R, and scores as its dense Jacobian."""
+
+    @pytest.mark.parametrize("hidden", [
+        (10,),  # n_1 < d_M
+        (20, 7),  # n_1 = d_M: square QR
+        (26, 9),  # n_1 > d_M: square QR, R wider than tall
+        (),  # one linear layer, K = I
+    ])
+    def test_matches_per_sample_reference(self, ds17, hidden):
+        self._check(ds17, generic_net((20, *hidden, 8), seed=len(hidden)))
+
+    @pytest.mark.parametrize("hidden", [(4,), (9, 14)])
+    def test_output_wider_than_input(self, wide_out_ds, hidden):
+        self._check(wide_out_ds, generic_net((6, *hidden, 12), seed=5))
+
+    def _check(self, ds, model):
+        assert ds.n_samples % _BLOCK_ROWS != 0  # the last block is partial
+        record = model_outputs(model, ds)
+        n_1 = model.spec.widths[1]
+        assert record.jac.shape == (ds.n_samples, ds.d_q, min(n_1, ds.d_m))
+        psi = record.bases.psi
+        np.testing.assert_allclose(psi.T @ psi, np.eye(psi.shape[1]),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(record.bases.phi, np.eye(ds.d_q))
+        for i in (0, ds.n_samples - 1):
+            np.testing.assert_allclose(
+                record.jac[i] @ psi.T, full_space_jacobian(model, ds.m[i]),
+                rtol=0, atol=1e-13)
+        h1 = h1_seminorm_accuracy(record, ds)
+        grad = gradient_accuracy(record, ds, seed=3, n_misfit=3)
+        gn = gauss_newton_accuracies(record, ds)
+        got = {"h1": (h1[1], h1[2]), "grad": (grad[1], grad[2]),
+               "gn": (gn[2], gn[4]), "rgn": (gn[3], gn[4])}
+        for name, (ratios, skipped) in loop_metrics(model, ds, seed=3,
+                                                    n_misfit=3).items():
+            assert got[name][1] == skipped
+            np.testing.assert_allclose(got[name][0], ratios, rtol=1e-12)
+
+
 class TestTruncationBound:
     def test_bound_holds_on_random_instances(self):
         rng = np.random.default_rng(15)
@@ -536,7 +593,7 @@ class TestEvaluate:
 def calls(monkeypatch):
     """Counts the model work the metrics do, by name."""
     counts = dict.fromkeys(("forward", "parametric_jacobian",
-                            "project_factors"), 0)
+                            "preactivation_jacobian", "project_factors"), 0)
     for name in counts:
         def counted(*args, _name=name, _real=getattr(metrics, name)):
             counts[_name] += 1
@@ -549,10 +606,15 @@ def calls(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_evaluate_runs_the_model_once(self, ds17, kind, calls):
+        # one forward pass, one Jacobian sweep per block: a reduced-basis
+        # net's own, a generic net's up to its first layer
         evaluate(make_model(kind, ds17, seed=2), ds17)
-        assert calls == {"forward": 1,
-                         "parametric_jacobian": -(-17 // _BLOCK_ROWS),
-                         "project_factors": int(kind == "reduced")}
+        sweep = "parametric_jacobian" if kind == "reduced" \
+            else "preactivation_jacobian"
+        want = {"forward": 1, "parametric_jacobian": 0,
+                "preactivation_jacobian": 0, "project_factors": 1}
+        want[sweep] = -(-17 // _BLOCK_ROWS)
+        assert calls == want
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_l2_runs_no_tape(self, ds17, kind, calls):
@@ -560,7 +622,7 @@ class TestOnePass:
         evaluate(model, ds17, metrics=("l2",))
         l2_accuracy(model, ds17)
         assert calls == {"forward": 2, "parametric_jacobian": 0,
-                         "project_factors": 0}
+                         "preactivation_jacobian": 0, "project_factors": 0}
 
     def test_record_comes_back_unchanged(self, ds17):
         record = model_outputs(make_model("reduced", ds17, seed=2), ds17)

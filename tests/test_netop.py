@@ -538,7 +538,7 @@ class TestBatchedTapeVsLoop:
             # the reduced batch's loss is latent: it is the loss of the set
             # that reduce_dataset returns, without the misfit off Phi
             loss -= off_phi_misfit(model, batch)
-            latent = reduce_dataset(batch, model.bases)
+            latent = reduce_dataset(batch, model.bases, True)
             l_loss, l_grad = loss_and_grad(model, latent, cfg, ms_idx=ms_idx)
             assert got[0] == l_loss
             np.testing.assert_array_equal(got[1], l_grad)
@@ -612,7 +612,7 @@ class TestBatchedTapeVsLoop:
         want = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
         ds = Dataset(m=batch.m, q=batch.q, jac_u=batch.jac_u,
                      jac_sigma=batch.jac_sigma, jac_v=batch.jac_v, meta={})
-        latent = reduce_dataset(ds, model.bases)
+        latent = reduce_dataset(ds, model.bases, True)
         loss, grad = loss_and_grad(model, latent, cfg, ms_idx=ms_idx)
         assert_matches_reference((loss + off_phi_misfit(model, batch), grad),
                                  want)

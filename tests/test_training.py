@@ -402,5 +402,5 @@ class TestTrain:
         out, hist = train(toy_ds.subset(range(8, 64)), model, cfg, epochs=3,
                           batch_size=16, seed=1, holdout=holdout)
         assert len(calls) == 2
-        expected, _ = loss_and_grad(out, reduce_dataset(holdout, bases), cfg)
+        expected, _ = loss_and_grad(out, reduce_dataset(holdout, bases, True), cfg)
         assert hist.holdout_loss[-1] == pytest.approx(expected, rel=1e-12)
