@@ -8,14 +8,10 @@ when every sample has zero norm.  A metric reads a model only through a
 ModelOutputs record of its predictions and stacked Jacobians on the test
 set, which ``model_outputs`` builds in one pass (``evaluate`` builds it once
 for all metrics); every metric is batched array algebra over the record.
-A net's Jacobians stay latent in a basis pair, a reduced-basis net's own
+A record's Jacobians are latent in a basis pair, a reduced-basis net's own
 and a generic net's factored through its first layer, and the residuals are
 expanded through the stored SVD factors: no net forms a d_Q x d_M matrix.
-Only a record built from dense Jacobians takes the dense path, which forms
-no d_M x d_M matrix: with JV = J V and P = J - JV V^T, the GN error splits
-on range(V) into sums of squares whose largest product is d_Q x d_Q,
-||V S^2 V^T - J^T J||^2 = ||S^2 - JV^T JV||^2 + 2 ||P^T JV||^2 + ||P P^T||^2,
-and the first term is the reduced (rgn) error.
+Dense Jacobians form a record in the identity pair.
 """
 
 import csv
@@ -30,8 +26,8 @@ from .bases import ReducedBasisPair
 from .datagen import project_factors
 from .netop import forward, parametric_jacobian, preactivation_jacobian
 
-# Test rows per block: a net's Jacobian sweep and a dense record's residuals
-# run one block at a time, so their transient memory stays bounded.
+# Test rows per block: a net's Jacobian sweep runs one block at a time, so
+# its transient memory stays bounded.
 _BLOCK_ROWS = 8
 METRICS = ("l2", "h1", "grad", "gn", "rgn")
 
@@ -62,18 +58,13 @@ class EvalReport:
                     writer.writerow([i, repr(float(v))])
 
 
-def _blocks(n):
-    return [slice(k, k + _BLOCK_ROWS) for k in range(0, n, _BLOCK_ROWS)]
-
-
 @dataclass(frozen=True)
 class ModelOutputs:
     """What the metrics read of a model on a test set: ``preds`` (n, d_Q)
-    and ``jac``, a net's latent (n, r_Q, r_M) Jacobians in its ``bases``
-    pair (a generic net's factored through W_1), with ``projected =
-    project_factors(test_ds, bases)``; or dense (n, d_Q, d_M), with both
-    None, in a record built from dense Jacobians, the only kind that takes
-    the range(V) split."""
+    and ``jac``, the latent (n, r_Q, r_M) Jacobians in the ``bases`` pair
+    (a generic net's factored through W_1; dense ones in the identity
+    pair), with ``projected = project_factors(test_ds, bases)``.  Both
+    ``bases`` and ``projected`` are always set."""
 
     preds: np.ndarray
     jac: np.ndarray
@@ -87,7 +78,14 @@ def model_outputs(model, test_ds):
     net's Jacobians are its latent ``parametric_jacobian``.  A generic
     net's factor through its first layer: with W_1^T = Q R,
     J = K W_1 = (K R^T) Q^T for K from ``preactivation_jacobian``, so it
-    keeps K R^T, d_Q x min(n_1, d_M), in the pair (Q, I, 0)."""
+    keeps K R^T, d_Q x min(n_1, d_M), in the pair (Q, I, 0).  The
+    Jacobian metrics read the stored SVD factors, so a set without them
+    raises ValueError."""
+    missing = [f for f in ("jac_u", "jac_sigma", "jac_v")
+               if getattr(test_ds, f) is None]
+    if missing:
+        raise ValueError("h1, grad, gn and rgn need the stored Jacobian SVD "
+                         f"factors; the set lacks {', '.join(missing)}")
     if isinstance(model, ModelOutputs):
         return model
     bases, R = model.bases, None
@@ -97,7 +95,8 @@ def model_outputs(model, test_ds):
                                  b=np.zeros(model.d_q), tag="first layer")
     preds = forward(model, test_ds.m)
     jac = np.empty((test_ds.n_samples, bases.rank_out, bases.rank_in))
-    for b in _blocks(test_ds.n_samples):
+    for k in range(0, test_ds.n_samples, _BLOCK_ROWS):
+        b = slice(k, k + _BLOCK_ROWS)
         jac[b] = parametric_jacobian(model, test_ds.m[b]) if R is None \
             else preactivation_jacobian(model, test_ds.m[b]) @ R.T
     return ModelOutputs(preds, jac, bases, project_factors(test_ds, bases))
@@ -128,28 +127,16 @@ def l2_accuracy(model, test_ds):
     return _accuracy(ratios), ratios, skipped
 
 
-def _h1_error2(U, s, V, J):
-    """||U S V^T - J||_F^2 for a block of dense Jacobians."""
-    resid = (U * s[:, None, :]) @ V.transpose(0, 2, 1)
-    resid -= J
-    return _sum_squares(resid)
-
-
 def h1_seminorm_accuracy(model, test_ds):
     """1 - sqrt(mean ||J_true - J_model||_F^2 / ||J_true||_F^2)."""
     out = model_outputs(model, test_ds)
-    J = out.jac
-    U, s, V = test_ds.jac_u, test_ds.jac_sigma, test_ds.jac_v
+    J, s = out.jac, test_ds.jac_sigma
     true2 = np.sum(s**2, axis=1)
-    if out.bases is not None:
-        # ||USV^T - Phi J Psi^T||^2 expanded through the factors.
-        left, right = out.projected
-        cross = np.sum(s * np.sum(left * (J @ right), axis=1), axis=1)
-        # clamp tiny negative round-off
-        err2 = np.maximum(true2 - 2.0 * cross + _sum_squares(J), 0.0)
-    else:
-        err2 = np.concatenate([_h1_error2(U[b], s[b], V[b], J[b])
-                               for b in _blocks(test_ds.n_samples)])
+    # ||USV^T - Phi J Psi^T||^2 expanded through the factors.
+    left, right = out.projected
+    cross = np.sum(s * np.sum(left * (J @ right), axis=1), axis=1)
+    # clamp tiny negative round-off
+    err2 = np.maximum(true2 - 2.0 * cross + _sum_squares(J), 0.0)
     ratios, skipped = _skip_zero(err2, true2)
     return _accuracy(ratios), ratios, skipped
 
@@ -167,12 +154,15 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
     the true gradient uses the stored Jacobian SVD, the predicted one the
     model's values and Jacobian.  One call draws all the noise, in the
     order of a loop over samples and then draws; draws whose true gradient
-    is zero are skipped.
+    is zero are skipped.  Raises ValueError unless ``n_misfit`` >= 1 and
+    the noise scale is positive.
     """
     std = noise_std(test_ds, noise_pct)
+    if std <= 0:
+        raise ValueError(f"noise scale must be positive, got {std}")
+    if n_misfit < 1:
+        raise ValueError(f"n_misfit must be at least 1, got {n_misfit}")
     var = std**2
-    if var <= 0:
-        raise ValueError("noise variances must be positive")
     out = model_outputs(model, test_ds)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((test_ds.n_samples, n_misfit, test_ds.d_q))
@@ -184,10 +174,7 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
     w_pred = (out.preds[:, None, :] - d) / var
     g_true = ((w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]) \
         @ test_ds.jac_v.transpose(0, 2, 1)
-    if out.bases is not None:
-        g_diff = ((w_pred @ out.bases.phi) @ out.jac) @ out.bases.psi.T
-    else:
-        g_diff = w_pred @ out.jac
+    g_diff = ((w_pred @ out.bases.phi) @ out.jac) @ out.bases.psi.T
     g_diff -= g_true
     ratios, skipped = _skip_zero(np.einsum("nkj,nkj->nk", g_diff, g_diff),
                                  np.einsum("nkj,nkj->nk", g_true, g_true))
@@ -202,46 +189,25 @@ def _diag_residual2(s2, G):
     return _sum_squares(R)
 
 
-def _gn_error2(s2, V, J):
-    """Full and reduced squared GN errors, stacked (2, n), for a block of
-    dense Jacobians, by the split on range(V).  P = J - JV V^T is never
-    formed: JV^T P = JV^T J - (JV^T JV) V^T and P P^T = J J^T - JV JV^T, so
-    their round-off is squared along with them."""
-    JV = J @ V
-    JVt = JV.transpose(0, 2, 1)
-    red_model = JVt @ JV
-    cross = JVt @ J
-    cross -= red_model @ V.transpose(0, 2, 1)
-    PPt = J @ J.transpose(0, 2, 1)
-    PPt -= JV @ JVt
-    red = _diag_residual2(s2, red_model)
-    return np.stack([red + 2.0 * _sum_squares(cross) + _sum_squares(PPt),
-                     red])
-
-
 def gauss_newton_accuracies(model, test_ds):
     """Full and V_r-reduced Gauss-Newton Hessian accuracies.
 
-    A dense record's Jacobians use the orthogonal split of the module
-    docstring; a net's latent ones expand the full error through Psi^T V.
+    The record's latent Jacobians J (its ``bases`` and ``projected`` are
+    always set) expand the full error through Psi^T V; ||J^T J||^2 is
+    taken as the norm of the narrower of J^T J and J J^T.
     """
     out = model_outputs(model, test_ds)
-    J = out.jac
-    s, V = test_ds.jac_sigma, test_ds.jac_v
+    J, s = out.jac, test_ds.jac_sigma
     s2 = s**2
     norm2 = np.sum(s**4, axis=1)  # ||V S^2 V^T||^2 = ||S^2||^2
-    if out.bases is not None:
-        JP = J @ out.projected[1]  # J Psi^T V
-        red_model = JP.transpose(0, 2, 1) @ JP
-        cross = np.sum(s2 * np.diagonal(red_model, axis1=1, axis2=2), axis=1)
-        # clamp tiny negative round-off
-        full_err2 = np.maximum(
-            norm2 - 2.0 * cross + _sum_squares(J @ J.transpose(0, 2, 1)), 0.0)
-        red_err2 = _diag_residual2(s2, red_model)
-    else:
-        full_err2, red_err2 = np.concatenate(
-            [_gn_error2(s2[b], V[b], J[b]) for b in _blocks(test_ds.n_samples)],
-            axis=1)
+    JP = J @ out.projected[1]  # J Psi^T V
+    red_model = JP.transpose(0, 2, 1) @ JP
+    cross = np.sum(s2 * np.diagonal(red_model, axis1=1, axis2=2), axis=1)
+    Jt = J.transpose(0, 2, 1)
+    gram = Jt @ J if J.shape[1] > J.shape[2] else J @ Jt
+    # clamp tiny negative round-off
+    full_err2 = np.maximum(norm2 - 2.0 * cross + _sum_squares(gram), 0.0)
+    red_err2 = _diag_residual2(s2, red_model)
     full_ratios, skipped = _skip_zero(full_err2, norm2)
     red_ratios, _ = _skip_zero(red_err2, norm2)
     return (_accuracy(full_ratios), _accuracy(red_ratios), full_ratios,

@@ -166,6 +166,16 @@ class TestEval:
                      str(pipeline / "test"), "--metrics", "l2,banana",
                      "--out", str(tmp_path / "ev")]) == 1
 
+    @pytest.mark.parametrize("flag", [("--n-misfit", "0"),
+                                      ("--noise-pct", "-0.01")])
+    def test_bad_noise_setting_fails(self, pipeline, run, tmp_path, capsys,
+                                     flag):
+        out = tmp_path / "ev"
+        assert main(["eval", "--run", str(run), "--data",
+                     str(pipeline / "test"), *flag, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHelp:
     @pytest.mark.parametrize("sub", [[], ["generate"], ["bases"], ["train"],

@@ -8,7 +8,7 @@ import pytest
 
 from derivop import metrics
 from derivop.bases import ReducedBasisPair
-from derivop.datagen import Dataset, generate_dataset
+from derivop.datagen import Dataset, generate_dataset, project_factors
 from derivop.linalg import TruncatedJacobian
 from derivop.metrics import (
     _BLOCK_ROWS,
@@ -42,37 +42,44 @@ from derivop.netop import (
 )
 
 
-def dense(preds, jacs):
-    """Oracle model: a dense ModelOutputs record of the given predictions
-    (n, d_Q) and Jacobians (n, d_Q, d_M)."""
+def dense(preds, jacs, ds):
+    """Oracle model: the ModelOutputs record on ``ds`` of the given
+    predictions (n, d_Q) and dense Jacobians (n, d_Q, d_M), in the identity
+    pair."""
+    pair = ReducedBasisPair(psi=np.eye(ds.d_m), phi=np.eye(ds.d_q),
+                            b=np.zeros(ds.d_q), tag="identity")
     return ModelOutputs(np.asarray(preds, dtype=float),
-                        np.asarray(jacs, dtype=float), None, None)
+                        np.asarray(jacs, dtype=float), pair,
+                        project_factors(ds, pair))
 
 
 def exact(ds):
     """The record of the true map at the rows of ``ds``, from its factors."""
     return dense(ds.q, [ds.jacobian(i).as_dense()
-                        for i in range(ds.n_samples)])
+                        for i in range(ds.n_samples)], ds)
 
 
 def zero(ds):
-    return dense(np.zeros_like(ds.q), np.zeros((ds.n_samples, ds.d_q, ds.d_m)))
+    return dense(np.zeros_like(ds.q), np.zeros((ds.n_samples, ds.d_q, ds.d_m)),
+                 ds)
 
 
 def loop_metrics(model, ds, noise_pct=0.01, seed=0, n_misfit=4):
     """Per-sample reference: the loops the batched metrics replaced.
 
     Returns name -> (per-sample ratios, skip count) for h1, grad, gn, rgn.
-    Reduced-basis models use the factored h1 and GN expansions; other
-    models and dense records form the dense d_Q x d_M residual and the
-    d_M x d_M GN Hessians.
+    Reduced-basis models use the factored h1 and GN expansions; generic
+    models and records, whose latent Jacobians are first expanded to
+    Phi J Psi^T, form the dense d_Q x d_M residual and the d_M x d_M GN
+    Hessians.
     """
     if isinstance(model, OperatorModel):
         reduced = model.kind == "reduced_basis"
         preds = forward(model, ds.m)
         jacs = [full_space_jacobian(model, m) for m in ds.m]
     else:
-        reduced, preds, jacs = False, model.preds, model.jac
+        reduced, preds = False, model.preds
+        jacs = model.bases.phi @ model.jac @ model.bases.psi.T
     std = noise_std(ds, noise_pct)
     rng = np.random.default_rng(seed)
     ratios = {name: [] for name in ("h1", "grad", "gn", "rgn")}
@@ -153,7 +160,8 @@ class TestL2Accuracy:
                      jac_u=np.zeros((2, 2, 1)), jac_sigma=np.zeros((2, 1)),
                      jac_v=np.zeros((2, 3, 1)), meta={})
         preds = np.array([[3.0, 3.0], [1.0, 2.0]])
-        acc, ratios, _ = l2_accuracy(dense(preds, np.zeros((2, 2, 3))), ds)
+        model = dense(preds, np.zeros((2, 2, 3)), ds)
+        acc, ratios, _ = l2_accuracy(model, ds)
         # per-sample relative squared errors: 1/25 and 1/4
         np.testing.assert_allclose(ratios, [1 / 25, 1 / 4])
         assert acc == pytest.approx(1.0 - np.sqrt((1 / 25 + 1 / 4) / 2))
@@ -205,7 +213,7 @@ class TestMisfitGradient:
         q = np.array([1.0, 0.5, -0.5])
         ds = Dataset(m=np.zeros((1, 5)), q=q[None], jac_u=u[None],
                      jac_sigma=np.array([[2.0]]), jac_v=v[None])
-        model = dense([q + rho * u[:, 0]], [2.0 * u @ v.T])
+        model = dense([q + rho * u[:, 0]], [2.0 * u @ v.T], ds)
         _, ratios, skipped = gradient_accuracy(model, ds, seed=3, n_misfit=4)
         eta_u = np.random.default_rng(3).standard_normal((1, 4, 3))[0, :, 0]
         assert skipped == 0
@@ -219,7 +227,7 @@ class TestMisfitGradient:
         seed, n_misfit = 2, 3
         delta = 0.1 * np.random.default_rng(9).standard_normal(toy_ds.q.shape)
         jacs = [toy_map(ToyMap.default(), m)[1] for m in toy_ds.m]
-        model = dense(toy_ds.q + delta, jacs)
+        model = dense(toy_ds.q + delta, jacs, toy_ds)
         _, ratios, skipped = gradient_accuracy(model, toy_ds, seed=seed,
                                                n_misfit=n_misfit)
         std = noise_std(toy_ds)
@@ -251,7 +259,7 @@ class TestMisfitGradient:
 
         J_fd = np.column_stack([(F(m + eps * e) - F(m - eps * e)) / (2 * eps)
                                 for e in np.eye(rd.d_m)])
-        model = dense(ds.q, [J_fd])
+        model = dense(ds.q, [J_fd], ds)
         _, ratios, skipped = gradient_accuracy(model, ds, n_misfit=4)
         assert skipped == 0
         assert np.sqrt(np.max(ratios)) <= 1e-5
@@ -260,6 +268,17 @@ class TestMisfitGradient:
         with pytest.raises(ValueError):
             gradient_accuracy(exact(toy_ds), toy_ds, noise_pct=0.0)
 
+    def test_negative_noise_rejected(self, toy_ds):
+        # a negative scale has a positive variance std^2
+        with pytest.raises(ValueError, match="noise scale"):
+            gradient_accuracy(exact(toy_ds), toy_ds, noise_pct=-0.01)
+
+    @pytest.mark.parametrize("n_misfit", [0, -1])
+    def test_no_noise_draws_rejected(self, toy_ds, n_misfit):
+        # with no draws the accuracy would be None with nothing skipped
+        with pytest.raises(ValueError, match="n_misfit"):
+            gradient_accuracy(exact(toy_ds), toy_ds, n_misfit=n_misfit)
+
 
 class TestGradientAccuracy:
     def test_exact_model_scores_one(self, toy_ds):
@@ -267,7 +286,7 @@ class TestGradientAccuracy:
         assert acc == pytest.approx(1.0, abs=1e-6)
 
     def test_correct_values_zero_jacobian_scores_zero(self, toy_ds):
-        hybrid = dense(toy_ds.q, zero(toy_ds).jac)
+        hybrid = dense(toy_ds.q, zero(toy_ds).jac, toy_ds)
         acc, _, _ = gradient_accuracy(hybrid, toy_ds, seed=0)
         assert acc == pytest.approx(0.0, abs=1e-12)
 
@@ -317,13 +336,6 @@ class TestGaussNewton:
         assert gn == pytest.approx(1.0, abs=1e-7)
         assert rgn == pytest.approx(1.0, abs=1e-7)
 
-    def test_exact_dense_model_scores_one_to_round_off(self, toy_ds):
-        # every term of the range(V) split is a sum of squares, so an exact
-        # model's error is round-off squared
-        gn, rgn, _, _, _ = gauss_newton_accuracies(exact(toy_ds), toy_ds)
-        assert abs(gn - 1.0) <= 1e-12
-        assert abs(rgn - 1.0) <= 1e-12
-
     def test_zero_model_scores_zero(self, toy_ds):
         gn, rgn, _, _, _ = gauss_newton_accuracies(zero(toy_ds), toy_ds)
         assert gn == pytest.approx(0.0)
@@ -364,12 +376,12 @@ class TestGaussNewton:
 
 
 def make_model(kind, ds, seed):
-    """A generic net, a reduced-basis net, or a dense record with random
-    values and Jacobians, sized for ``ds``."""
+    """A generic net, a reduced-basis net, or a record of random values and
+    dense Jacobians in the identity pair, sized for ``ds``."""
     rng = np.random.default_rng(seed)
     if kind == "dense":
         return dense(rng.standard_normal((ds.n_samples, ds.d_q)),
-                     rng.standard_normal((ds.n_samples, ds.d_q, ds.d_m)))
+                     rng.standard_normal((ds.n_samples, ds.d_q, ds.d_m)), ds)
     if kind == "generic":
         spec = MLPSpec.dense((ds.d_m, 10, ds.d_q), init_seed=seed)
         return OperatorModel(kind="generic", spec=spec,
@@ -581,6 +593,16 @@ class TestEvaluate:
         payload = json.loads((tmp_path / "r" / "report.json").read_text(),
                              parse_constant=reject)
         assert payload["accuracies"]["h1"] is None
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced"])
+    def test_set_without_factors(self, ds17, kind):
+        # the Jacobian metrics read the stored factors; l2 does not
+        model = make_model(kind, ds17, seed=2)
+        bare = Dataset(m=ds17.m, q=ds17.q)
+        with pytest.raises(ValueError, match="lacks jac_u, jac_sigma, jac_v"):
+            evaluate(model, bare)
+        report = evaluate(model, bare, metrics=("l2",))
+        assert report.accuracies == {"l2": l2_accuracy(model, ds17)[0]}
 
     def test_nonfinite_accuracy_is_not_saved(self, tmp_path):
         report = EvalReport(accuracies={"l2": float("nan")})
