@@ -116,6 +116,9 @@ def cmd_bases(args):
 
 
 def cmd_train(args):
+    if args.hidden_layers < 0:
+        raise ValueError(f"--hidden-layers must be >= 0, got "
+                         f"{args.hidden_layers}")
     ds = datagen.load_dataset(args.data)
     holdout = datagen.load_dataset(args.holdout) if args.holdout else None
     variant = _LOSS_NAMES[args.loss]
@@ -131,7 +134,7 @@ def cmd_train(args):
     else:
         pair = None
         d_in, d_out = ds.d_m, ds.d_q
-    width = args.hidden_width or d_out
+    width = d_out if args.hidden_width is None else args.hidden_width
     widths = (d_in,) + (width,) * args.hidden_layers + (d_out,)
     spec = netop.MLPSpec.dense(widths, init_seed=args.seed)
     model = netop.OperatorModel(

@@ -190,9 +190,6 @@ def load_dataset(dirpath):
     1..min(d_Q, d_M) and matches the manifest, every U_i and V_i is
     orthonormal, and every sigma_i is non-negative and descending."""
     with io.loading(dirpath, "dataset") as (arrays, manifest):
-        for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise io.LoadError(f"{dirpath}: array {name!r} is not finite")
         meta = {k: v for k, v in manifest.items()
                 if k not in ("arrays", "format_version", "object")}
         ds = Dataset(m=arrays["m"], q=arrays["q"], jac_u=arrays["jac_U"],

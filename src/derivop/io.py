@@ -65,8 +65,8 @@ def load_arrays(dirpath):
 
     Returns ``(arrays, manifest)``.  Raises :class:`LoadError` on an
     unreadable or incomplete manifest, a version mismatch, an array file
-    other than ``<name>.bin`` in the directory itself, or a shape, size or
-    checksum mismatch.
+    other than ``<name>.bin`` in the directory itself, a shape, size or
+    checksum mismatch, or a NaN or infinite value.
     """
     dirpath = Path(dirpath)
     manifest_path = dirpath / "manifest.json"
@@ -106,6 +106,8 @@ def load_arrays(dirpath):
         if zlib.crc32(raw) != crc:
             raise LoadError(f"{file}: checksum mismatch")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(arrays[name])):
+            raise LoadError(f"{dirpath}: array {name!r} is not finite")
     return arrays, manifest
 
 

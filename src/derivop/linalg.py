@@ -68,8 +68,11 @@ class CountingOperator:
 
 
 def check_orthonormal(Q, name):
-    """Raise ValueError unless |Q^T Q - I| <= 1e-10 * max(1, sqrt(#columns))
-    for the matrix Q, or for every matrix of a stack Q of shape (n, d, r)."""
+    """Raise ValueError unless Q is finite and |Q^T Q - I| <=
+    1e-10 * max(1, sqrt(#columns)) for the matrix Q, or for every matrix of
+    a stack Q of shape (n, d, r)."""
+    if not np.all(np.isfinite(Q)):
+        raise ValueError(f"{name} has non-finite entries")
     r = Q.shape[-1]
     gram = np.swapaxes(Q, -1, -2) @ Q - np.eye(r)
     err = np.max(np.linalg.norm(gram, axis=(-2, -1)))
@@ -160,9 +163,9 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
 
 
 def symmetric_eig_topk(S, k):
-    """Top-k eigenpairs of a symmetric matrix, descending, sign-fixed.  After
-    the symmetrization, LAPACK's subset driver (dsyevr) reads one triangle
-    and forms only the k wanted eigenvectors."""
+    """Top-k eigenpairs of a symmetric matrix, descending, sign-fixed.
+    LAPACK's subset driver (dsyevr) reads one triangle of S and forms only
+    the k wanted eigenvectors."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected square matrix, got shape {S.shape}")
@@ -173,6 +176,6 @@ def symmetric_eig_topk(S, k):
         raise ValueError(f"matrix not symmetric, |S - S^T| = {asym:.3e}")
     if not 1 <= k <= S.shape[0]:
         raise ValueError(f"k = {k} out of range for dim {S.shape[0]}")
-    vals, vecs = scipy.linalg.eigh((S + S.T) / 2, check_finite=False,
+    vals, vecs = scipy.linalg.eigh(S, check_finite=False,
                                    subset_by_index=[len(S) - k, len(S) - 1])
     return vals[::-1].copy(), fix_signs(vecs[:, ::-1])

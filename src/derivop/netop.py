@@ -20,13 +20,15 @@ block i of Q_0 is J(m_i)^T A_i.  Each layer of either costs one 2-D GEMM,
 W_l or W_l^T times the stacked (width, n * columns) array (BLAS runs this
 orientation faster than the transposed one), and forms its array only when
 pulled.  The shapes alone pick the sweep: the adjoint one iff rows < cols,
-and ties keep the tangent tape.  So h1_full penalties and
-``parametric_jacobian`` take the adjoint sweep when the net's output is
-narrower than its input, as DINO's r_Q x r_M Jacobian is, and the
-truncated penalties (rows = cols) the tangent tape.
+and ties keep the tangent tape.  So h1_full penalties and the Jacobian
+read-offs take the adjoint sweep when the net's output is narrower than
+its input, as DINO's r_Q x r_M Jacobian is, and the truncated penalties
+(rows = cols) the tangent tape.
 
-One combinator, ``_penalty``, serves the penalty ||C_i - A_i^T J_i B_i||^2.
-It reads A^T J B off the picked sweep and keeps that sweep's arrays.  The
+One combinator, ``_penalty``, holds that pick and serves the penalty
+||C_i - A_i^T J_i B_i||^2.  It reads A^T J B off the picked sweep and keeps
+that sweep's arrays; the Jacobian read-offs (``parametric_jacobian``,
+``preactivation_jacobian``) pass identity seeds and take only J.  The
 weight gradient (double backpropagation: second-order adjoints, forward
 over reverse) streams the other sweep against them, seeded from Ebar_i,
 the loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
@@ -288,39 +290,26 @@ def _adjoint_sweep(layers, d1s, Q, flops):
 def parametric_jacobian(model, m):
     """Exact Jacobian of the model at m: latent r_Q x r_M for reduced-basis
     models, d_Q x d_M for generic ones.  A batch of rows gives one per row.
-    The adjoint sweep runs when the output is narrower than the input."""
+    ``_penalty`` reads it off with identity seeds."""
     m = np.asarray(m, dtype=float)
     X = m @ model.bases.psi if model.kind == "reduced_basis" else m
-    _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
-    layers = model.weights.layers()
-    # keep only a sweep's last array, so that the others are freed as it goes
-    if model.spec.d_out < model.spec.d_in:
-        for Q, _ in _adjoint_sweep(layers, d1s, None, FlopCounter()):
-            pass
-        J = Q.transpose(1, 2, 0)
-    else:
-        for T in _tangent_tape(layers, d1s, None, FlopCounter()):
-            pass
-        J = T.transpose(1, 0, 2)
+    _, d1s, ratios = _mlp_forward(model.weights, np.atleast_2d(X))
+    J = _penalty(model.weights.layers(), d1s, ratios, None, None,
+                 FlopCounter())[0]
     return J[0] if m.ndim == 1 else J
 
 
 def preactivation_jacobian(model, m):
     """K(m) = df/dA_1 of a generic net, d_Q x n_1 per row of the batch
-    ``m``, so that J(m) = K(m) W_1 (A_1 = W_1 m + b_1).  Neither sweep
-    reaches the d_M-wide W_1: the adjoint one stops at P_1 when d_Q < n_1,
-    else the tangent tape starts from T_1 = diag(d1_1)."""
-    _, d1s, _ = _mlp_forward(model.weights, m)
-    layers, d1 = model.weights.layers(), d1s[0]
-    if model.spec.d_out < d1.shape[1]:
-        sweep = _adjoint_sweep(layers, d1s, None, FlopCounter())
-        for _, (_, P) in zip(layers, sweep):  # pulls (Q_l, P_l), l = L..1
-            pass
-        return P.transpose(1, 2, 0)
-    T = d1.T[:, :, None] * np.eye(d1.shape[1])[:, None, :]
-    for T in _tangent_tape(layers[1:], d1s[1:], T, FlopCounter()):
-        pass
-    return T.transpose(1, 0, 2)
+    ``m``, so that J(m) = K(m) W_1 (A_1 = W_1 m + b_1).  ``_penalty`` reads
+    the Jacobian of layers 2..L off with identity seeds, and its columns
+    are scaled by d1_1, so no sweep reaches the d_M-wide W_1."""
+    _, d1s, ratios = _mlp_forward(model.weights, m)
+    layers = model.weights.layers()
+    if len(layers) == 1:
+        return d1s[0][:, :, None] * np.eye(d1s[0].shape[1])
+    J = _penalty(layers[1:], d1s[1:], ratios[1:], None, None, FlopCounter())[0]
+    return J * d1s[0][:, None, :]
 
 
 def full_space_jacobian(model, m):
@@ -407,23 +396,23 @@ def _layer_pair(W, d1, ratio, T_prev, T, Q, P):
     return gW, seed
 
 
-def _penalty(layers, d1s, ratios, A, B):
+def _penalty(layers, d1s, ratios, A, B, flops):
     """A^T J B stacked (n, rows, cols), and the function that maps Ebar (the
     loss gradient with respect to it) to the per-layer (dW_l, d2-seed_l).
-    The sweep with fewer columns per sample gives A^T J B and is kept; the
-    other one streams from Ebar against it, on a throwaway FlopCounter.  The
-    function frees each kept array after its layer, so it may run only once."""
+    netop's one sweep pick: the sweep with fewer columns per sample gives
+    A^T J B on the FlopCounter ``flops`` and is kept; the other one streams
+    from Ebar against it, on a throwaway counter.  The function frees each
+    kept array after its layer, so it may run only once, or not at all."""
     rows = d1s[-1].shape[1] if A is None else A.shape[2]
     cols = layers[0][0].shape[1] if B is None else B.shape[2]
     if rows < cols:
         # a copy, since _layer_pair forms P_L over it
         QL = None if A is None else A.transpose(1, 0, 2).copy()
-        *Qs, Q0 = (Q for Q, _ in _adjoint_sweep(layers, d1s, QL,
-                                                 PENALTY_FLOPS))
+        *Qs, Q0 = (Q for Q, _ in _adjoint_sweep(layers, d1s, QL, flops))
         S = Q0.transpose(1, 2, 0)
         if B is not None:
             S = S @ B
-            PENALTY_FLOPS.count += Q0.size * B.shape[2]
+            flops.count += Q0.size * B.shape[2]
 
         def pairs(Ebar):
             T = Ebar if B is None else Ebar @ B.transpose(0, 2, 1)
@@ -438,11 +427,11 @@ def _penalty(layers, d1s, ratios, A, B):
         return S, pairs
 
     T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
-    Ts = [T0, *_tangent_tape(layers, d1s, T0, PENALTY_FLOPS)]
+    Ts = [T0, *_tangent_tape(layers, d1s, T0, flops)]
     S = Ts[-1].transpose(1, 0, 2)
     if A is not None:
         S = A.transpose(0, 2, 1) @ S
-        PENALTY_FLOPS.count += A.size * S.shape[2]
+        flops.count += A.size * S.shape[2]
 
     def pairs(Ebar):
         sweep = _adjoint_sweep(layers, d1s, (Ebar if A is None else A @ Ebar)
@@ -485,7 +474,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     pairs = None  # per-layer (dW, d2-seed) of the penalty
     if cfg.variant != "l2":
         A, B, C, wgt = _penalty_terms(model, batch, cfg, ms_idx)
-        S, penalty_pairs = _penalty(layers, d1s, ratios, A, B)
+        S, penalty_pairs = _penalty(layers, d1s, ratios, A, B, PENALTY_FLOPS)
         E = S - C
         wE = E if wgt is None else wgt * E
         PENALTY_FLOPS.count += E.size * (1 if wgt is None else 2)

@@ -127,7 +127,6 @@ class TrainHistory:
 
     train_loss: list = field(default_factory=list)
     holdout_loss: list = field(default_factory=list)  # None without holdout
-    seed: int = 0
 
     def records(self):
         return [
@@ -180,6 +179,9 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     Returns (trained model, TrainHistory).  Deterministic for a fixed seed:
     the run RNG drives both the per-epoch shuffle and the MS index draws.
     """
+    if batch_size < 1 or epochs < 0:
+        raise ValueError(f"need batch_size >= 1 and epochs >= 0, got "
+                         f"{batch_size} and {epochs}")
     train_set = _training_set(data, model, cfg)
     held = None if holdout is None else _training_set(holdout, model, cfg)
     n = train_set.size
@@ -187,7 +189,7 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
     w = model.weights.flat.copy()  # adam_step updates it in place
     current = model.with_weights(w)
-    history = TrainHistory(seed=seed)
+    history = TrainHistory()
     rank = train_set.rank if cfg.variant == "h1_truncated_ms" else None
 
     for epoch in range(epochs):

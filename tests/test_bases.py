@@ -194,6 +194,26 @@ class TestPairsAndPersistence:
             ReducedBasisPair(psi=2 * np.eye(4)[:, :2], phi=np.eye(3),
                              b=np.zeros(3))
 
+    @pytest.mark.parametrize("name", ["psi", "phi"])
+    def test_non_finite_basis_rejected(self, name):
+        bases = {"psi": np.eye(4)[:, :2], "phi": np.eye(3)}
+        bases[name][0, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            ReducedBasisPair(**bases, b=np.zeros(3))
+
+    @pytest.mark.parametrize("name,bad", [("Psi", np.nan), ("Phi", np.inf),
+                                          ("b", -np.inf)])
+    def test_non_finite_values_rejected(self, tmp_path, toy_ds, name, bad):
+        # the values pass the checksum, since it is taken over what was saved
+        save_bases(derivative_informed_bases(toy_ds, rank_in=6, rank_out=5),
+                   tmp_path / "b")
+        arrays, manifest = load_arrays(tmp_path / "b")
+        arrays[name].flat[1] = bad
+        del manifest["arrays"]
+        save_arrays(tmp_path / "b", arrays, meta=manifest)
+        with pytest.raises(LoadError, match=f"array '{name}' is not finite"):
+            load_bases(tmp_path / "b")
+
     def test_round_trip(self, tmp_path, toy_ds):
         pair = derivative_informed_bases(toy_ds, rank_in=6, rank_out=5)
         save_bases(pair, tmp_path / "b")

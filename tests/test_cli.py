@@ -113,6 +113,21 @@ class TestTrain:
                      "generic", "--loss", "h1truncms", "--k", "8",
                      "--epochs", "1", "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize("flag", [("--batch-size", "-4"),
+                                      ("--batch-size", "0"),
+                                      ("--epochs", "-2"),
+                                      ("--hidden-width", "0"),
+                                      ("--hidden-layers", "-1")],
+                             ids=lambda flag: f"{flag[0][2:]}={flag[1]}")
+    def test_empty_net_or_schedule_fails(self, pipeline, tmp_path, capsys,
+                                         flag):
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(pipeline / "data"), "--arch",
+                     "generic", "--loss", "l2", *flag,
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dipnet_without_bases_fails(self, pipeline, tmp_path):
         assert main(["train", "--data", str(pipeline / "data"), "--arch",
                      "dipnet", "--loss", "l2", "--epochs", "1",

@@ -141,6 +141,10 @@ def test_check_orthonormal():
     check_orthonormal(Q, "Q")
     with pytest.raises(ValueError, match="Q not orthonormal"):
         check_orthonormal(Q * (1.0 + 1e-9), "Q")
+    # checked before the product, which would warn on NaN or Inf
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Q has non-finite entries"):
+            check_orthonormal(np.where(np.arange(3) == 1, bad, Q), "Q")
     # more columns than rows can never be orthonormal
     with pytest.raises(ValueError, match="W not orthonormal"):
         check_orthonormal(np.eye(2, 3), "W")

@@ -33,6 +33,7 @@ from derivop.models import (
     toy_map,
 )
 from derivop.netop import (
+    PENALTY_FLOPS,
     MLPSpec,
     NetworkWeights,
     OperatorModel,
@@ -637,6 +638,13 @@ class TestOnePass:
                 "preactivation_jacobian": 0, "project_factors": 1}
         want[sweep] = -(-17 // _BLOCK_ROWS)
         assert calls == want
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced"])
+    def test_penalty_flops_count_training_only(self, ds17, kind):
+        # the Jacobian read-offs charge their sweeps to a throwaway counter
+        before = PENALTY_FLOPS.count
+        evaluate(make_model(kind, ds17, seed=2), ds17)
+        assert PENALTY_FLOPS.count == before
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_l2_runs_no_tape(self, ds17, kind, calls):

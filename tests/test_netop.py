@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
-from derivop.io import LoadError
+from derivop.io import LoadError, load_arrays, save_arrays
 from derivop.netop import (
     PENALTY_FLOPS,
     _ACTIVATIONS,
@@ -808,7 +808,7 @@ class TestLazySweeps:
         A = rng.standard_normal((n, self.WIDTHS[-1], rows))
         B = rng.standard_normal((n, self.WIDTHS[0], cols))
         A0, B0 = A.copy(), B.copy()
-        S, pairs = _penalty(layers, d1s, ratios, A, B)
+        S, pairs = _penalty(layers, d1s, ratios, A, B, FlopCounter())
         pairs(rng.standard_normal(S.shape))
         np.testing.assert_array_equal(A, A0)
         np.testing.assert_array_equal(B, B0)
@@ -847,6 +847,20 @@ class TestPersistence:
             manifest["widths"] = widths
         path.write_text(json.dumps(manifest))
         with pytest.raises(LoadError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("name,bad", [("weights", np.nan),
+                                          ("weights", np.inf),
+                                          ("Psi", np.nan)])
+    def test_non_finite_values_rejected(self, tmp_path, name, bad):
+        # the values pass the checksum, since it is taken over what was saved
+        rng = np.random.default_rng(12)
+        save_model(make_reduced(8, 5, 4, 3, (6,), rng), tmp_path / "m")
+        arrays, manifest = load_arrays(tmp_path / "m")
+        arrays[name].flat[2] = bad
+        del manifest["arrays"]
+        save_arrays(tmp_path / "m", arrays, meta=manifest)
+        with pytest.raises(LoadError, match=f"array '{name}' is not finite"):
             load_model(tmp_path / "m")
 
     def test_mismatched_latent_widths_rejected(self):

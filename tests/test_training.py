@@ -265,6 +265,14 @@ class TestTrain:
         np.testing.assert_array_equal(out.weights.flat, model.weights.flat)
         assert hist.train_loss == []
 
+    @pytest.mark.parametrize("batch_size,epochs", [(0, 1), (-4, 1),
+                                                   (16, -2)])
+    def test_empty_schedule_rejected(self, toy_ds, batch_size, epochs):
+        # a batch size below 1 used to train nothing and report loss 0.0
+        with pytest.raises(ValueError, match="batch_size >= 1"):
+            train(toy_ds, self._model(toy_ds), LossConfig(variant="l2"),
+                  epochs=epochs, batch_size=batch_size)
+
     def test_seed_determinism_bitwise(self, toy_ds):
         cfg = LossConfig(variant="h1_truncated_ms", k=2)
         runs = []
