@@ -75,8 +75,6 @@ class Dataset:
     def n_samples(self):
         return self.m.shape[0]
 
-    size = n_samples
-
     @property
     def d_m(self):
         return self.m.shape[1]

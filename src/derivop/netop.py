@@ -37,11 +37,11 @@ per layer, ``_layer_pair``, reads the pair the value-loss backward pass
 consumes off the two sides: dW_l = P_l T_{l-1}^T and
 d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
 
-A loss reads its samples from ``Batch``, another name of ``datagen.Dataset``:
-one container holds generated sets, mini-batches and latent sets.  A
-reduced-basis model's loss always reads a latent set; ``loss_and_grad``
-sends a full-space batch through ``datagen.reduce_dataset``, the one place
-that projects samples onto the bases.
+A loss reads its samples from a ``datagen.Dataset``: one container holds
+generated sets, mini-batches and latent sets.  A reduced-basis model's loss
+always reads a latent set; ``loss_and_grad`` sends a full-space batch
+through ``datagen.reduce_dataset``, the one place that projects samples
+onto the bases.
 """
 
 from dataclasses import dataclass
@@ -50,8 +50,6 @@ import numpy as np
 
 from . import datagen, io
 from .bases import ReducedBasisPair
-
-Batch = datagen.Dataset
 
 
 # --- activations -------------------------------------------------------------
@@ -461,7 +459,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
                                        cfg.variant == "h1_full")
     weights = model.weights
     layers = weights.layers()
-    nbatch = batch.size
+    nbatch = batch.n_samples
     d_in = batch.m.shape[1]
     if d_in != weights.spec.d_in:
         raise ValueError(f"input dim {d_in} != {weights.spec.d_in}")

@@ -159,7 +159,7 @@ def _training_set(data, model, cfg):
 def _mean_loss(model, data, cfg):
     """Mean loss over a set from ``_training_set`` without a gradient step
     (holdout evaluation)."""
-    n = data.size
+    n = data.n_samples
     # MS draws add noise to a monitoring metric; use the deterministic
     # truncated penalty instead when evaluating.
     eval_cfg = cfg if cfg.variant != "h1_truncated_ms" else \
@@ -182,9 +182,12 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     if batch_size < 1 or epochs < 0:
         raise ValueError(f"need batch_size >= 1 and epochs >= 0, got "
                          f"{batch_size} and {epochs}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"learning rate alpha must be finite and > 0, "
+                         f"got {alpha}")
     train_set = _training_set(data, model, cfg)
     held = None if holdout is None else _training_set(holdout, model, cfg)
-    n = train_set.size
+    n = train_set.n_samples
     rng = np.random.default_rng(seed)
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)
     w = model.weights.flat.copy()  # adam_step updates it in place

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from derivop.bases import ReducedBasisPair
-from derivop.datagen import generate_dataset
+from derivop.datagen import Dataset, generate_dataset
 from derivop.linalg import TruncatedJacobian, dense_operator, randomized_svd
 from derivop.metrics import (
     gauss_newton_accuracies,
@@ -32,7 +32,6 @@ from derivop.models import (
 )
 from derivop.netop import (
     PENALTY_FLOPS,
-    Batch,
     MLPSpec,
     NetworkWeights,
     OperatorModel,
@@ -84,7 +83,7 @@ def random_factor_batch(d_m, d_q, r, n, rng, jac_r_dims=None, latent=False):
     jac_r = None
     if jac_r_dims is not None:
         jac_r = rng.standard_normal((n, *jac_r_dims))
-    return Batch(m=rng.standard_normal((n, d_m)),
+    return Dataset(m=rng.standard_normal((n, d_m)),
                  q=rng.standard_normal((n, d_q)),
                  jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r, latent=latent)
 
@@ -229,7 +228,7 @@ def test_05_reduced_basis_gradient_identity(capsys):
         batch = random_factor_batch(d_m, d_q, min(d_m, d_q), 3, rng)
         batch.jac_r = np.stack([
             phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])
-                     @ batch.jac_v[i].T) @ psi for i in range(batch.size)])
+                     @ batch.jac_v[i].T) @ psi for i in range(batch.n_samples)])
         cfg = LossConfig(variant="h1_full", h1_weight=1.0)
         _, g_full = loss_and_grad(generic, batch, cfg)
         _, g_red = loss_and_grad(reduced, batch, cfg)
@@ -264,7 +263,7 @@ def test_06_loss_gradients_vs_finite_differences(capsys):
                 batch.jac_r = np.stack([
                     phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])
                              @ batch.jac_v[i].T) @ psi
-                    for i in range(batch.size)])
+                    for i in range(batch.n_samples)])
             ms_idx = (np.array([1, 2]), np.array([0, 2])) \
                 if cfg.variant == "h1_truncated_ms" else None
 
@@ -400,7 +399,7 @@ def test_08_cost_scaling(capsys):
         spec = MLPSpec.dense((r_in, *hidden, r_out), init_seed=0)
         model = OperatorModel(kind="reduced_basis", spec=spec,
                               weights=NetworkWeights.init(spec), bases=bases)
-        batch = Batch(m=rng.standard_normal((4, r_in)),
+        batch = Dataset(m=rng.standard_normal((4, r_in)),
                       q=rng.standard_normal((4, r_out)),
                       jac_r=rng.standard_normal((4, r_out, r_in)),
                       latent=True)

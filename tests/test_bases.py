@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from derivop.bases import (
     _GRAM_BLOCK,
@@ -97,6 +98,25 @@ class TestActiveSubspace:
     def test_rank_validation(self, toy_ds):
         with pytest.raises(ValueError):
             active_subspace(toy_ds, toy_ds.d_m + 1)
+
+    def test_iterative_eigensolve_matches_dense_oracle(self, monkeypatch):
+        """d_M >= 12 rank_in, as fine-sketch's input basis: the basis comes
+        from subspace iteration, with LAPACK's subset driver barred."""
+        rng = np.random.default_rng(4)
+        d_m, d_q, n, rank_in = 120, 4, 8, 5
+        R = np.linalg.qr(rng.standard_normal((d_m, d_m)))[0]
+        decay = np.geomspace(1.0, 1e-30, d_m)
+        jacs = [rng.standard_normal((d_q, d_m)) * decay @ R.T
+                for _ in range(n)]
+        ds = dataset_from_jacobians(jacs, rng)
+        dense = sum(J.T @ J for J in jacs) / n
+        ref = np.linalg.eigh(dense)[1][:, ::-1][:, :rank_in]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to scipy.linalg.eigh")
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        psi, _ = active_subspace(ds, rank_in)
+        np.testing.assert_allclose(psi @ psi.T, ref @ ref.T, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, _GRAM_BLOCK - 1, _GRAM_BLOCK + 1,

@@ -117,7 +117,10 @@ class TestTrain:
                                       ("--batch-size", "0"),
                                       ("--epochs", "-2"),
                                       ("--hidden-width", "0"),
-                                      ("--hidden-layers", "-1")],
+                                      ("--hidden-layers", "-1"),
+                                      ("--lr", "-1"),
+                                      ("--lr", "0"),
+                                      ("--lr", "nan")],
                              ids=lambda flag: f"{flag[0][2:]}={flag[1]}")
     def test_empty_net_or_schedule_fails(self, pipeline, tmp_path, capsys,
                                          flag):

@@ -159,7 +159,7 @@ class TestGenerate:
 
     def test_jacobian_fields_optional(self, toy_ds):
         values = Dataset(m=toy_ds.m, q=toy_ds.q)
-        assert values.n_samples == values.size == toy_ds.n_samples
+        assert values.n_samples == toy_ds.n_samples
         # jac_r is latent whatever m is, so only its sample count is checked
         Dataset(m=toy_ds.m, q=toy_ds.q, jac_r=np.zeros((12, 2, 3)))
         with pytest.raises(ValueError):

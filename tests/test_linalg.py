@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from derivop import linalg
 from derivop.linalg import (
     CountingOperator,
     LinearOperator,
@@ -158,7 +160,41 @@ def test_check_orthonormal():
             check_orthonormal(bad, "S")
 
 
+def psd_with_spectrum(lam, rng):
+    Q = random_orthonormal(len(lam), len(lam), rng)
+    return (Q * lam) @ Q.T
+
+
+def dsyevr_topk(S, k):
+    """The LAPACK subset path of ``symmetric_eig_topk``, called directly."""
+    vals, vecs = scipy.linalg.eigh(S, subset_by_index=[len(S) - k,
+                                                       len(S) - 1])
+    return vals[::-1].copy(), fix_signs(vecs[:, ::-1])
+
+
+def assert_top_eigenpairs(S, vals, vecs):
+    """Values and spanned subspace equal to those of np.linalg.eigh."""
+    k = len(vals)
+    ref_vals, ref_vecs = np.linalg.eigh(S)
+    ref_vals, ref_vecs = ref_vals[::-1][:k], ref_vecs[:, ::-1][:, :k]
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-12)
+    np.testing.assert_allclose(vecs @ vecs.T, ref_vecs @ ref_vecs.T,
+                               atol=1e-10)
+    assert np.all(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)] > 0)
+
+
+@pytest.fixture
+def no_dsyevr(monkeypatch):
+    """Fail any call that reaches LAPACK's subset driver."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back to scipy.linalg.eigh")
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+
+
 class TestSymmetricEig:
+    # Sizes with 12 k <= d, where subspace iteration runs before dsyevr.
+    D, K = 240, 20
+
     def test_diagonal_matrix(self):
         vals, vecs = symmetric_eig_topk(np.diag([1.0, 5.0, 3.0]), k=2)
         np.testing.assert_allclose(vals, [5.0, 3.0])
@@ -193,27 +229,73 @@ class TestSymmetricEig:
     @pytest.mark.parametrize("k", [1, 12, 25])
     def test_matches_full_eigh(self, k):
         """k = 25 = n is a complete basis, as dino-pipeline's output basis."""
-        rng = np.random.default_rng(12)
         n = 25
         # top four eigenvalues in a cluster 1e-4 apart, then a gap
         lam = np.concatenate([1.0 - 1e-4 * np.arange(4),
                               np.geomspace(0.5, 1e-2, n - 4)])
-        Q = random_orthonormal(n, n, rng)
-        S = (Q * lam) @ Q.T
+        S = psd_with_spectrum(lam, np.random.default_rng(12))
         vals, vecs = symmetric_eig_topk(S, k)
-        ref_vals, ref_vecs = np.linalg.eigh(S)
-        ref_vals, ref_vecs = ref_vals[::-1][:k], ref_vecs[:, ::-1][:, :k]
-        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12)
         assert np.all(np.diff(vals) <= 0)
-        np.testing.assert_allclose(vecs @ vecs.T, ref_vecs @ ref_vecs.T,
-                                   atol=1e-10)
-        assert np.all(vecs[np.abs(vecs).argmax(axis=0), np.arange(k)] > 0)
+        assert_top_eigenpairs(S, vals, vecs)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             symmetric_eig_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), k=1)
         with pytest.raises(ValueError):
             symmetric_eig_topk(np.eye(3), k=4)
+
+    def fast_decay(self):
+        # top k in [0.05, 1] with a cluster of four 1e-9 apart, then a gap
+        top = np.concatenate([np.geomspace(1.0, 0.05, self.K - 4),
+                              0.3 * (1.0 - 1e-9 * np.arange(4))])
+        lam = np.concatenate([np.sort(top)[::-1],
+                              np.geomspace(1e-6, 1e-12, self.D - self.K)])
+        return psd_with_spectrum(lam, np.random.default_rng(20))
+
+    def test_fast_decay_with_cluster(self, no_dsyevr):
+        S = self.fast_decay()
+        assert_top_eigenpairs(S, *symmetric_eig_topk(S, self.K))
+
+    def test_rank_below_k(self, no_dsyevr):
+        rng = np.random.default_rng(21)
+        rank = 5
+        B = rng.standard_normal((self.D, rank))
+        S = B @ B.T
+        vals, vecs = symmetric_eig_topk(S, self.K)
+        assert_top_eigenpairs(S, vals[:rank], vecs[:, :rank])
+        # the rest span part of the null space, with Ritz values at round-off
+        assert np.all(np.abs(vals[rank:]) <= 1e-12 * vals[0])
+        check_orthonormal(vecs, "vecs")
+        assert np.linalg.norm(S @ vecs[:, rank:]) <= 1e-12 * vals[0]
+
+    def test_slow_decay_reaches_cap(self, monkeypatch):
+        S = psd_with_spectrum(1.0 / (1.0 + np.arange(self.D)),
+                              np.random.default_rng(22))
+        steps = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda Y: steps.append(1) or qr(Y))
+        vals, vecs = symmetric_eig_topk(S, self.K)
+        assert len(steps) == linalg._SUBSPACE_ITERS
+        ref_vals, ref_vecs = dsyevr_topk(S, self.K)
+        np.testing.assert_array_equal(vals, ref_vals)
+        np.testing.assert_array_equal(vecs, ref_vecs)
+
+    def test_indefinite_falls_back(self):
+        # 40 eigenvalues at -100 outweigh the top k's tail: the iteration
+        # alone would converge to Ritz values at -100.
+        k = 10
+        lam = np.concatenate([[500.0, 400.0, 300.0, 200.0, 150.0],
+                              np.full(40, -100.0),
+                              np.geomspace(10.0, 1e-2, self.D - 45)])
+        S = psd_with_spectrum(lam, np.random.default_rng(23))
+        assert_top_eigenpairs(S, *symmetric_eig_topk(S, k))
+
+    def test_bitwise_repeatable(self, no_dsyevr):
+        S = self.fast_decay()
+        (v1, x1), (v2, x2) = (symmetric_eig_topk(S, self.K) for _ in range(2))
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(x1, x2)
 
 
 def test_fix_signs_joint_flip_preserves_product():

@@ -15,7 +15,6 @@ from derivop.io import LoadError, load_arrays, save_arrays
 from derivop.netop import (
     PENALTY_FLOPS,
     _ACTIVATIONS,
-    Batch,
     FlopCounter,
     MLPSpec,
     NetworkWeights,
@@ -85,7 +84,7 @@ def batch_from_model(model, n, rng, exact=True, rank=None):
         phi, psi = model.bases.phi, model.bases.psi
         jac_r = np.stack([phi.T @ ((U[i] * S[i]) @ V[i].T) @ psi
                           for i in range(n)])
-    return Batch(m=m, q=q, jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r)
+    return Dataset(m=m, q=q, jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r)
 
 
 def off_phi_misfit(model, batch):
@@ -93,11 +92,7 @@ def off_phi_misfit(model, batch):
     the full-space misfit that a reduced-basis model's latent loss omits."""
     phi, b = model.bases.phi, model.bases.b
     off = (batch.q - b) - (batch.q - b) @ phi @ phi.T
-    return float(np.sum(off**2)) / batch.size
-
-
-def test_batch_is_the_dataset():
-    assert Batch is Dataset
+    return float(np.sum(off**2)) / batch.n_samples
 
 
 ALL_CFGS = [
@@ -331,7 +326,7 @@ class TestLossAndGrad:
             batch.jac_r = np.stack([
                 phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])
                          @ batch.jac_v[i].T) @ psi
-                for i in range(batch.size)])
+                for i in range(batch.n_samples)])
             cfg = LossConfig(variant="h1_full", h1_weight=0.7)
             _, g_full = loss_and_grad(generic, batch, cfg)
             _, g_red = loss_and_grad(reduced, batch, cfg)
@@ -353,16 +348,16 @@ class TestLossAndGrad:
         expected = float(np.mean(np.sum(
             (np.atleast_2d(forward(model, batch.m)) - batch.q) ** 2, axis=1)))
         expected -= off_phi_misfit(model, batch)
-        for i in range(batch.size):
+        for i in range(batch.n_samples):
             Jw = full_space_jacobian(model, batch.m[i])
             U, s, V = batch.jac_u[i], batch.jac_sigma[i], batch.jac_v[i]
-            expected += np.sum((np.diag(s) - U.T @ Jw @ V) ** 2) / batch.size
+            expected += np.sum((np.diag(s) - U.T @ Jw @ V) ** 2) / batch.n_samples
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_missing_jacobian_data_rejected(self):
         rng = np.random.default_rng(9)
         model = make_generic(4, 3, (5,))
-        batch = Batch(m=rng.standard_normal((2, 4)),
+        batch = Dataset(m=rng.standard_normal((2, 4)),
                       q=rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
             loss_and_grad(model, batch, LossConfig(variant="h1_truncated"))
@@ -452,7 +447,7 @@ def _loop_terms(model, batch, cfg, i, ms_idx):
 def loop_loss_and_grad(model, batch, cfg, ms_idx=None):
     """Per-sample reference for ``loss_and_grad`` (unprojected batches)."""
     layers = model.weights.layers()
-    n = batch.size
+    n = batch.n_samples
     full_space = model.kind == "reduced_basis" and not batch.latent
     X = batch.m @ model.bases.psi if full_space else batch.m
     zs, d1s, d2s = _loop_forward(model, X)
@@ -595,7 +590,7 @@ class TestBatchedTapeVsLoop:
     def test_reduced_latent_batches(self, cfg):
         rng = np.random.default_rng(13)
         model = make_reduced(9, 6, 5, 4, (6, 6), rng, seed=3)
-        batch = Batch(m=rng.standard_normal((6, 5)),
+        batch = Dataset(m=rng.standard_normal((6, 5)),
                       q=rng.standard_normal((6, 4)),
                       jac_r=rng.standard_normal((6, 4, 5)), latent=True)
         assert_matches_reference(loss_and_grad(model, batch, cfg),
@@ -681,7 +676,7 @@ class TestPenaltyFlops:
         spec = MLPSpec.dense(DINO_LATENT, init_seed=1)
         model = OperatorModel(kind="reduced_basis", spec=spec,
                               weights=NetworkWeights.init(spec), bases=bases)
-        batch = Batch(m=rng.standard_normal((n, 50)),
+        batch = Dataset(m=rng.standard_normal((n, 50)),
                       q=rng.standard_normal((n, 25)),
                       jac_u=random_orthonormal(25, r, rng)[None].repeat(n, 0),
                       jac_sigma=rng.random((n, r)),

@@ -273,6 +273,13 @@ class TestTrain:
             train(toy_ds, self._model(toy_ds), LossConfig(variant="l2"),
                   epochs=epochs, batch_size=batch_size)
 
+    @pytest.mark.parametrize("alpha", [-1e-3, 0.0, np.nan, np.inf])
+    def test_bad_learning_rate_rejected(self, toy_ds, alpha):
+        # a negative rate used to ascend the loss and return normally
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            train(toy_ds, self._model(toy_ds), LossConfig(variant="l2"),
+                  epochs=1, alpha=alpha)
+
     def test_seed_determinism_bitwise(self, toy_ds):
         cfg = LossConfig(variant="h1_truncated_ms", k=2)
         runs = []
