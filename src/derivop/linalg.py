@@ -214,7 +214,8 @@ def symmetric_eig_topk(S, k):
         raise ValueError(f"k = {k} out of range for dim {S.shape[0]}")
     found = _subspace_topk(S, k)
     if found is None:
+        n = len(S)
         vals, vecs = scipy.linalg.eigh(S, check_finite=False,
-                                       subset_by_index=[len(S) - k, len(S) - 1])
+                                       subset_by_index=[n - k, n - 1])
         found = vals[::-1].copy(), vecs[:, ::-1]
     return found[0], fix_signs(found[1])

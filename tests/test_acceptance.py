@@ -84,8 +84,8 @@ def random_factor_batch(d_m, d_q, r, n, rng, jac_r_dims=None, latent=False):
     if jac_r_dims is not None:
         jac_r = rng.standard_normal((n, *jac_r_dims))
     return Dataset(m=rng.standard_normal((n, d_m)),
-                 q=rng.standard_normal((n, d_q)),
-                 jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r, latent=latent)
+                   q=rng.standard_normal((n, d_q)),
+                   jac_u=U, jac_sigma=S, jac_v=V, jac_r=jac_r, latent=latent)
 
 
 def test_01_adjoint_correctness(capsys):
@@ -228,7 +228,8 @@ def test_05_reduced_basis_gradient_identity(capsys):
         batch = random_factor_batch(d_m, d_q, min(d_m, d_q), 3, rng)
         batch.jac_r = np.stack([
             phi.T @ ((batch.jac_u[i] * batch.jac_sigma[i])
-                     @ batch.jac_v[i].T) @ psi for i in range(batch.n_samples)])
+                     @ batch.jac_v[i].T) @ psi
+            for i in range(batch.n_samples)])
         cfg = LossConfig(variant="h1_full", h1_weight=1.0)
         _, g_full = loss_and_grad(generic, batch, cfg)
         _, g_red = loss_and_grad(reduced, batch, cfg)
@@ -400,9 +401,9 @@ def test_08_cost_scaling(capsys):
         model = OperatorModel(kind="reduced_basis", spec=spec,
                               weights=NetworkWeights.init(spec), bases=bases)
         batch = Dataset(m=rng.standard_normal((4, r_in)),
-                      q=rng.standard_normal((4, r_out)),
-                      jac_r=rng.standard_normal((4, r_out, r_in)),
-                      latent=True)
+                        q=rng.standard_normal((4, r_out)),
+                        jac_r=rng.standard_normal((4, r_out, r_in)),
+                        latent=True)
         return _penalty_flops(model, batch, LossConfig(variant="h1_full"))
 
     r_in, r_out = 96, 64

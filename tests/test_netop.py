@@ -348,17 +348,18 @@ class TestLossAndGrad:
         expected = float(np.mean(np.sum(
             (np.atleast_2d(forward(model, batch.m)) - batch.q) ** 2, axis=1)))
         expected -= off_phi_misfit(model, batch)
-        for i in range(batch.n_samples):
+        n = batch.n_samples
+        for i in range(n):
             Jw = full_space_jacobian(model, batch.m[i])
             U, s, V = batch.jac_u[i], batch.jac_sigma[i], batch.jac_v[i]
-            expected += np.sum((np.diag(s) - U.T @ Jw @ V) ** 2) / batch.n_samples
+            expected += np.sum((np.diag(s) - U.T @ Jw @ V) ** 2) / n
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_missing_jacobian_data_rejected(self):
         rng = np.random.default_rng(9)
         model = make_generic(4, 3, (5,))
         batch = Dataset(m=rng.standard_normal((2, 4)),
-                      q=rng.standard_normal((2, 3)))
+                        q=rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
             loss_and_grad(model, batch, LossConfig(variant="h1_truncated"))
 
@@ -591,8 +592,8 @@ class TestBatchedTapeVsLoop:
         rng = np.random.default_rng(13)
         model = make_reduced(9, 6, 5, 4, (6, 6), rng, seed=3)
         batch = Dataset(m=rng.standard_normal((6, 5)),
-                      q=rng.standard_normal((6, 4)),
-                      jac_r=rng.standard_normal((6, 4, 5)), latent=True)
+                        q=rng.standard_normal((6, 4)),
+                        jac_r=rng.standard_normal((6, 4, 5)), latent=True)
         assert_matches_reference(loss_and_grad(model, batch, cfg),
                                  loop_loss_and_grad(model, batch, cfg))
 
@@ -676,12 +677,12 @@ class TestPenaltyFlops:
         spec = MLPSpec.dense(DINO_LATENT, init_seed=1)
         model = OperatorModel(kind="reduced_basis", spec=spec,
                               weights=NetworkWeights.init(spec), bases=bases)
-        batch = Dataset(m=rng.standard_normal((n, 50)),
-                      q=rng.standard_normal((n, 25)),
-                      jac_u=random_orthonormal(25, r, rng)[None].repeat(n, 0),
-                      jac_sigma=rng.random((n, r)),
-                      jac_v=random_orthonormal(50, r, rng)[None].repeat(n, 0),
-                      jac_r=rng.standard_normal((n, 25, 50)), latent=True)
+        batch = Dataset(
+            m=rng.standard_normal((n, 50)), q=rng.standard_normal((n, 25)),
+            jac_u=random_orthonormal(25, r, rng)[None].repeat(n, 0),
+            jac_sigma=rng.random((n, r)),
+            jac_v=random_orthonormal(50, r, rng)[None].repeat(n, 0),
+            jac_r=rng.standard_normal((n, 25, 50)), latent=True)
         return model, batch
 
     @staticmethod
