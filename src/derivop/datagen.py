@@ -128,6 +128,8 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
                          f"{model.d_q} x {model.d_m}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     # The sketch cannot be wider than the map; shrink the padding if needed.
     oversample = min(oversample, min(model.d_m, model.d_q) - rank)
 

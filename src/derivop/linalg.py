@@ -96,9 +96,6 @@ class TruncatedJacobian:
     def rank(self):
         return self.sigma.shape[0]
 
-    def as_dense(self):
-        return (self.U * self.sigma) @ self.V.T
-
 
 def fix_signs(U, companion=None):
     """Flip column signs so each column's largest-magnitude entry is positive.

@@ -217,30 +217,6 @@ def gauss_newton_accuracies(model, test_ds):
             red_ratios, skipped)
 
 
-def truncation_error_bound(jac_true, jac, model_jac):
-    """Both sides of the truncated-SVD Jacobian error bound (diagnostic).
-
-    ``jac_true`` is the dense true Jacobian, ``jac`` its stored rank-r SVD,
-    ``model_jac`` the dense model Jacobian.  Returns (lhs, rhs) with
-    lhs = ||J_true - J_model||_F^2 and rhs the five-term sum of the
-    truncated residual, the trailing singular-value energy, and the model's
-    three complement-space norms.
-    """
-    U, s, V = jac.U, jac.sigma, jac.V
-    Jw = np.asarray(model_jac, dtype=float)
-    jac_true = np.asarray(jac_true, dtype=float)
-    lhs = float(np.sum((jac_true - Jw) ** 2))
-    term_tail = float(np.sum((jac_true - (U * s) @ V.T) ** 2))
-    PU = U @ (U.T @ Jw)
-    PV = (Jw @ V) @ V.T
-    term_trunc = float(np.sum((np.diag(s) - U.T @ Jw @ V) ** 2))
-    term_nn = float(np.sum((Jw - PU - PV + U @ (U.T @ Jw @ V) @ V.T) ** 2))
-    term_left = float(np.sum(((Jw - PU) @ V) ** 2))
-    term_right = float(np.sum((U.T @ (Jw - PV)) ** 2))
-    rhs = term_trunc + term_tail + term_nn + term_left + term_right
-    return lhs, rhs
-
-
 def evaluate(model, test_ds, metrics=METRICS, noise_pct=0.01, seed=0,
              n_misfit=4, config=None):
     """Run the selected metrics and collect them into an EvalReport."""

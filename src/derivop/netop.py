@@ -227,9 +227,6 @@ class FlopCounter:
     def __init__(self):
         self.count = 0
 
-    def reset(self):
-        self.count = 0
-
 
 PENALTY_FLOPS = FlopCounter()
 
@@ -367,10 +364,13 @@ def _penalty_terms(model, batch, cfg, ms_idx):
     elif variant == "h1_truncated_ms":
         if ms_idx is None:
             raise ValueError("h1_truncated_ms needs subsampled indices")
-        ridx, cidx = ms_idx
+        r = sigma.shape[1]
+        ridx, cidx = (np.asarray(i, dtype=np.intp) for i in ms_idx)
+        if min(ridx.min(), cidx.min()) < 0 or max(ridx.max(), cidx.max()) >= r:
+            raise ValueError(f"subsample indices must lie in [0, {r})")
         A, B = U[:, :, ridx], V[:, :, cidx]
         C = _ms_target(sigma, ridx, cidx)
-        wgt = _ms_weight(sigma.shape[1], ridx, cidx, cfg.ms_mode) \
+        wgt = _ms_weight(r, ridx, cidx, cfg.ms_mode) \
             if cfg.ms_rescale else None
     else:
         raise ValueError(f"unknown loss variant {variant!r}")
@@ -450,7 +450,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     omits the w-independent misfit sum_i ||(I - Phi Phi^T)(q_i - b)||^2 / n
     and the gradient is that of the full-space loss.  ``ms_idx`` is the
     (row, column) index pair drawn by the trainer for the matrix-subsampled
-    variant.
+    variant; every index must lie in [0, r) for the stored rank r.
     """
     if batch.latent != (model.kind == "reduced_basis"):
         if batch.latent:

@@ -1,5 +1,8 @@
 """Stochastic optimization layer: loss configuration, the matrix-subsampling
 index sampler, a bias-corrected Adam optimizer, and the epoch/batch loop.
+
+The subsampled penalty, with its target and its unbiasing weights, lives in
+``netop`` with the other losses; this module only draws the indices.
 """
 
 from dataclasses import dataclass, field, replace
@@ -7,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .datagen import reduce_dataset
-from .netop import _ms_target, _ms_weight, _unread_fields, loss_and_grad
+from .netop import _unread_fields, loss_and_grad
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -55,26 +58,6 @@ def subsample_indices(r, k, mode, rng):
     if mode != "independent":
         raise ValueError(f"unknown mode {mode!r}")
     return ridx, rng.choice(r, size=k, replace=False)
-
-
-def ms_penalty(jac, model_jac, idx, mode="dependent", rescale=False):
-    """Subsampled truncated-Jacobian penalty for one sample.
-
-    ``jac`` holds the stored SVD factors, ``model_jac`` is the model's dense
-    full-space Jacobian, ``idx`` the (row, column) subsets.  With ``rescale``
-    the dependent mode applies the diag/offdiag two-factor correction and
-    the independent mode the r^2/k^2 factor, making the draw unbiased.
-    """
-    ridx, cidx = (np.asarray(i, dtype=np.intp) for i in idx)
-    r = jac.rank
-    if np.any(ridx >= r) or np.any(cidx >= r) or np.any(ridx < 0) \
-            or np.any(cidx < 0):
-        raise ValueError("subsample index out of range")
-    E = _ms_target(jac.sigma, ridx, cidx) \
-        - jac.U[:, ridx].T @ model_jac @ jac.V[:, cidx]
-    if not rescale:
-        return float(np.sum(E**2))
-    return float(np.sum(_ms_weight(r, ridx, cidx, mode) * E**2))
 
 
 @dataclass

@@ -41,6 +41,14 @@ class TestGenerate:
                      "0", "--out", str(tmp_path / "d")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_invalid_thread_count_fails(self, tmp_path, capsys, threads):
+        assert main(["generate", "--problem", "toy", "--n", "2", "--rank",
+                     "4", "--threads", threads,
+                     "--out", str(tmp_path / "d")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_rd_problem_smoke(self, tmp_path):
         assert main(["generate", "--problem", "rd", "--grid", "9", "--n",
                      "2", "--rank", "6", "--seed", "3",

@@ -142,7 +142,7 @@ class TestGenerate:
             s = np.linalg.svd(J, compute_uv=False)
             np.testing.assert_allclose(ds.jac_sigma[i], s, rtol=0,
                                        atol=1e-12 * s[0])
-            rebuilt = ds.jacobian(i).as_dense()
+            rebuilt = (ds.jac_u[i] * ds.jac_sigma[i]) @ ds.jac_v[i].T
             assert np.linalg.norm(rebuilt - J) <= 1e-12 * np.linalg.norm(J)
 
     def test_rank_validation(self):
@@ -151,6 +151,9 @@ class TestGenerate:
             generate_dataset(tm, None, 2, rank=9)  # > d_q = 8
         with pytest.raises(ValueError):
             generate_dataset(tm, None, 0, rank=4)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="threads"):
+                generate_dataset(tm, None, 2, rank=4, threads=threads)
 
     def test_inconsistent_shapes_rejected(self, toy_ds):
         with pytest.raises(ValueError):

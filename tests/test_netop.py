@@ -687,7 +687,7 @@ class TestPenaltyFlops:
 
     @staticmethod
     def count(model, batch, cfg, ms_idx=None):
-        PENALTY_FLOPS.reset()
+        PENALTY_FLOPS.count = 0
         loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
         return PENALTY_FLOPS.count
 

@@ -4,11 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import (
+    criterion_4_case,
+    fitted_sample,
+    ms_enumeration_errors,
+    ms_losses,
+)
 
-from derivop import training
+from derivop import netop, training
 from derivop.bases import derivative_informed_bases
 from derivop.datagen import Dataset, generate_dataset, reduce_dataset
-from derivop.linalg import TruncatedJacobian
 from derivop.models import ToyMap
 from derivop.netop import (
     MLPSpec,
@@ -22,7 +27,6 @@ from derivop.training import (
     LossConfig,
     TrainingError,
     adam_step,
-    ms_penalty,
     subsample_indices,
     train,
 )
@@ -82,88 +86,94 @@ class TestSubsampling:
 
 
 class TestMSPenalty:
+    """The shipped h1_truncated_ms loss, ``loss_and_grad``, on one sample
+    that the net fits exactly, so that the loss is the penalty alone."""
+
     @staticmethod
-    def _make_jac_with_projected_error(E_target, rng):
-        """jac (rank r) and a model Jacobian with U^T (J - Jw) V == E_target."""
+    def _net_with_projected_error(E_target, rng):
+        """A one-layer linear net, an input m and rank-r factors (U, sigma,
+        V) with U^T (U S V^T - J_net) V == E_target."""
         r = E_target.shape[0]
         d_q, d_m = r + 3, r + 4
         U = random_orthonormal(d_q, r, rng)
         V = random_orthonormal(d_m, r, rng)
         sigma = np.sort(rng.uniform(1, 3, r))[::-1]
-        jac = TruncatedJacobian(U=U, sigma=sigma, V=V)
-        model_jac = jac.as_dense() - U @ E_target @ V.T
-        return jac, model_jac
+        W = (U * sigma) @ V.T - U @ E_target @ V.T
+        spec = MLPSpec(widths=(d_m, d_q), activations=("linear",))
+        net = OperatorModel(kind="generic", spec=spec, weights=NetworkWeights(
+            spec, np.concatenate([W.ravel(), np.zeros(d_q)])))
+        return net, rng.standard_normal(d_m), U, sigma, V
+
+    def _losses(self, E_target, seed, pairs, mode):
+        net, *case = self._net_with_projected_error(
+            E_target, np.random.default_rng(seed))
+        return ms_losses(net, fitted_sample(net, *case), pairs, mode)
 
     def test_dependent_enumeration_2x2_k1(self):
-        rng = np.random.default_rng(4)
         E = np.array([[1.0, 2.0], [3.0, 4.0]])
-        jac, model_jac = self._make_jac_with_projected_error(E, rng)
-        vals = [ms_penalty(jac, model_jac, (np.array([i]), np.array([i])))
-                for i in range(2)]
+        vals = self._losses(E, 4, [(np.array([i]), np.array([i]))
+                                   for i in range(2)], "dependent")
         assert np.mean(vals) == pytest.approx(8.5, rel=1e-12)
 
     def test_independent_enumeration_2x2_k1(self):
-        rng = np.random.default_rng(5)
         E = np.array([[1.0, 2.0], [3.0, 4.0]])
-        jac, model_jac = self._make_jac_with_projected_error(E, rng)
-        vals = [ms_penalty(jac, model_jac, (np.array([i]), np.array([j])))
-                for i in range(2) for j in range(2)]
+        vals = self._losses(E, 5, [(np.array([i]), np.array([j]))
+                                   for i in range(2) for j in range(2)],
+                            "independent")
         assert np.mean(vals) == pytest.approx(7.5, rel=1e-12)
         assert np.mean(vals) == pytest.approx(
             (1 / 4) * np.sum(E**2), rel=1e-12)
 
     def test_exact_model_gives_zero_everywhere(self):
-        rng = np.random.default_rng(6)
-        jac, _ = self._make_jac_with_projected_error(np.zeros((3, 3)), rng)
-        model_jac = jac.as_dense()
-        for idx in itertools.combinations(range(3), 2):
-            pen = ms_penalty(jac, model_jac, (np.array(idx), np.array(idx)))
+        pairs = [(np.array(idx), np.array(idx))
+                 for idx in itertools.combinations(range(3), 2)]
+        for pen in self._losses(np.zeros((3, 3)), 6, pairs, "dependent"):
             assert pen <= 1e-20
 
     def test_full_enumeration_matches_expectations(self):
         """Averaging over every subset reproduces both closed forms."""
         rng = np.random.default_rng(7)
-        r, k = 5, 2
-        E = rng.standard_normal((r, r))
-        jac, model_jac = self._make_jac_with_projected_error(E, rng)
-        subsets = list(itertools.combinations(range(r), k))
-
-        indep = [ms_penalty(jac, model_jac, (np.array(a), np.array(b)))
-                 for a in subsets for b in subsets]
-        expected_indep = (k**2 / r**2) * np.sum(E**2)
-        assert np.mean(indep) == pytest.approx(expected_indep, rel=1e-12)
-
-        dep = [ms_penalty(jac, model_jac, (np.array(a), np.array(a)))
-               for a in subsets]
-        diag2 = np.sum(np.diag(E) ** 2)
-        off2 = np.sum(E**2) - diag2
-        expected_dep = (k / r) * diag2 + (k * (k - 1)) / (r * (r - 1)) * off2
-        assert np.mean(dep) == pytest.approx(expected_dep, rel=1e-12)
+        case = self._net_with_projected_error(rng.standard_normal((5, 5)),
+                                              rng)
+        assert max(ms_enumeration_errors(*case, k=2)) <= 1e-12
 
     def test_rescaled_draws_are_unbiased(self):
         rng = np.random.default_rng(8)
-        r, k = 5, 2
-        E = rng.standard_normal((r, r))
-        jac, model_jac = self._make_jac_with_projected_error(E, rng)
-        subsets = list(itertools.combinations(range(r), k))
-        total = np.sum(E**2)
-
-        indep = [ms_penalty(jac, model_jac, (np.array(a), np.array(b)),
-                            mode="independent", rescale=True)
-                 for a in subsets for b in subsets]
-        assert np.mean(indep) == pytest.approx(total, rel=1e-12)
-
-        dep = [ms_penalty(jac, model_jac, (np.array(a), np.array(a)),
-                          mode="dependent", rescale=True)
-               for a in subsets]
-        assert np.mean(dep) == pytest.approx(total, rel=1e-12)
+        case = self._net_with_projected_error(rng.standard_normal((5, 5)),
+                                              rng)
+        assert max(ms_enumeration_errors(*case, k=2, rescale=True)) <= 1e-12
 
     def test_index_out_of_range_rejected(self):
-        rng = np.random.default_rng(9)
-        jac, model_jac = self._make_jac_with_projected_error(
-            np.zeros((3, 3)), rng)
-        with pytest.raises(ValueError):
-            ms_penalty(jac, model_jac, (np.array([3]), np.array([0])))
+        net, *case = self._net_with_projected_error(
+            np.zeros((3, 3)), np.random.default_rng(9))
+        sample = fitted_sample(net, *case)
+        cfg = LossConfig("h1_truncated_ms", k=1)
+        # [-1] would wrap to column 2 while the target compares -1 != 2
+        for idx in (([3], [0]), ([-1], [2])):
+            with pytest.raises(ValueError, match="subsample indices"):
+                loss_and_grad(net, sample, cfg, ms_idx=idx)
+
+    def test_enumeration_fails_mutated_rules(self, monkeypatch):
+        """Criterion 4's enumeration catches a target that ignores the
+        column draw and a wrong off-diagonal unbiasing weight."""
+        case = criterion_4_case()
+        assert max(ms_enumeration_errors(*case, k=2)) <= 1e-12
+        assert max(ms_enumeration_errors(*case, k=2, rescale=True)) <= 1e-12
+
+        target = netop._ms_target
+        with monkeypatch.context() as mp:
+            mp.setattr(netop, "_ms_target",
+                       lambda sigma, ridx, cidx: target(sigma, ridx, ridx))
+            assert ms_enumeration_errors(*case, k=2)[0] > 1e-12
+
+        def offdiag_weight_of_independent(r, ridx, cidx, mode):
+            k = len(ridx)
+            return np.where(ridx[:, None] == cidx[None, :], r / k,
+                            (r / k) ** 2)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(netop, "_ms_weight", offdiag_weight_of_independent)
+            assert ms_enumeration_errors(*case, k=2, rescale=True)[1] > 1e-12
 
 
 def adam_oracle(state, w, g):
