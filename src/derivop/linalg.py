@@ -114,21 +114,29 @@ def fix_signs(U, companion=None):
 
 
 def _orthonormalize(Y):
-    # Householder QR, re-orthogonalized once for robustness.
-    Q, _ = np.linalg.qr(Y)
-    Q, _ = np.linalg.qr(Q)
-    return Q
+    return scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
+
+
+def _svd_of_transpose(Bt):
+    """Thin SVD (U, s, V) of B = Bt^T for a tall Bt, through the small SVD
+    of R^T from the Householder QR Bt = Q R; V = Q W, formed as (W^T Q^T)^T
+    with the layout of a thin SVD's Vt.T: a C-ordered stacked jac_v doubles
+    the time of metrics.gradient_accuracy's batched product."""
+    Q, R = scipy.linalg.qr(Bt, mode="economic", check_finite=False)
+    U, s, Wt = np.linalg.svd(R.T)
+    return U, s, (Wt @ Q.T).T
 
 
 def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
     """Truncated SVD of a LinearOperator via the randomized range finder.
 
     Draws ``rank + oversample`` Gaussian probes, optionally runs
-    ``power_iters`` rounds of subspace iteration, and truncates the small
-    SVD back to ``rank``.  When ``rank + oversample`` equals the smaller
-    dimension the probes would span the whole map, so the map is formed
-    exactly by one block action on that identity and densely decomposed;
-    ``seed`` and ``power_iters`` are then unused.
+    ``power_iters`` rounds of subspace iteration (one Householder QR per
+    step), and truncates the small SVD back to ``rank``.  When ``rank +
+    oversample`` equals the smaller dimension the probes would span the
+    whole map, so the map is formed exactly by one block action on that
+    identity; ``seed`` and ``power_iters`` are then unused.  Either way the
+    SVD runs on the square R of a Householder QR of the tall side.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -141,10 +149,9 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
             f"{min(op.nrows, op.ncols)}"
         )
     if ell == op.nrows <= op.ncols:
-        U, s, Vt = np.linalg.svd(op.apply_transpose(np.eye(ell)).T,
-                                 full_matrices=False)
+        U, s, V = _svd_of_transpose(op.apply_transpose(np.eye(ell)))
     elif ell == op.ncols:
-        U, s, Vt = np.linalg.svd(op.apply(np.eye(ell)), full_matrices=False)
+        V, s, U = _svd_of_transpose(op.apply(np.eye(ell)))
     else:
         rng = np.random.default_rng(seed)
         Omega = rng.standard_normal((op.ncols, ell))
@@ -153,9 +160,9 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
             Z = _orthonormalize(op.apply_transpose(Q))
             Q = _orthonormalize(op.apply(Z))
         # B = Q^T A, formed row-wise through the transpose action.
-        Ub, s, Vt = np.linalg.svd(op.apply_transpose(Q).T, full_matrices=False)
+        Ub, s, V = _svd_of_transpose(op.apply_transpose(Q))
         U = Q @ Ub[:, :rank]
-    U, V = fix_signs(U[:, :rank], Vt[:rank].T)
+    U, V = fix_signs(U[:, :rank], V[:, :rank])
     return TruncatedJacobian(U=U, sigma=s[:rank].copy(), V=V)
 
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .linalg import LinearOperator
 
@@ -147,15 +147,19 @@ def _state_layout(grid):
 
 
 def _banded_cholesky(A, lay):
-    """LAPACK banded Cholesky of A's free block, which must be SPD (only its
-    upper triangle is read); raises ``LinAlgError`` if it is not.  The
+    """Banded Cholesky of A's free block by LAPACK's dpbtrf, solves by
+    dpbtrs, both called directly.  The block must be SPD (only its upper
+    triangle is read); raises ``LinAlgError`` if it is not.  The
     factor's ``solve(b, trans)`` solves A x = b ("N") or A^T x = b ("T")
     for b of shape (d,) or (d, k) by block elimination of the identity
     rows, so b may be nonzero on them.  On an n x n grid the factorization
     costs O(n^4) flops, a solve O(n^3) per column."""
     ab = np.zeros((lay.bw + 1, lay.hi - lay.lo))
     ab.flat[lay.dst] = A.data[lay.src]
-    cb = sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    cb, info = lapack.dpbtrf(ab, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor not positive definite")
     coupling = A.data[lay.cslot]
 
     def solve(b, trans):
@@ -163,8 +167,7 @@ def _banded_cholesky(A, lay):
         c = coupling.reshape(-1, *(1,) * (x.ndim - 1))
         if trans == "N":  # b_free - A_fc b_fixed
             np.subtract.at(x, lay.cp, c * x[lay.cq])
-        x[lay.lo:lay.hi] = sla.cho_solve_banded(
-            (cb, False), x[lay.lo:lay.hi], check_finite=False)
+        x[lay.lo:lay.hi] = lapack.dpbtrs(cb, x[lay.lo:lay.hi])[0]
         if trans == "T":  # b_fixed - A_fc^T x_free
             np.subtract.at(x, lay.cq, c * x[lay.cp])
         return x

@@ -92,6 +92,37 @@ class TestRandomizedSVD:
                                    rtol=1e-13)
         assert_valid_factors(jac)
 
+    def test_graded_spectrum_one_qr_per_step(self):
+        # sigma_i = 10^(-i/2): the 30 probes span 15 decades.
+        rng = np.random.default_rng(8)
+        sigma = 10.0 ** (-np.arange(200) / 2)
+        A = (random_orthonormal(200, 200, rng) * sigma) \
+            @ random_orthonormal(300, 200, rng).T
+        dense, bases = dense_operator(A), []
+
+        def apply_transpose(Q):
+            bases.append(Q)
+            return dense.apply_transpose(Q)
+
+        op = LinearOperator(200, 300, dense.apply, apply_transpose)
+        jac = randomized_svd(op, rank=20, oversample=10, power_iters=1,
+                             seed=3)
+        assert_valid_factors(jac)
+        assert len(bases) == 2  # the power step's and the final range basis
+        for Q in bases:  # all 30 columns, not just the top 20 kept
+            assert np.linalg.norm(Q.T @ Q - np.eye(30)) <= 1e-13
+        s = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_allclose(jac.sigma, s[:20], rtol=0,
+                                   atol=1e-14 * s[0])
+
+    @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
+    def test_exact_branches_rebuild(self, shape):
+        A = np.random.default_rng(6).standard_normal(shape)
+        jac = randomized_svd(dense_operator(A), rank=8, oversample=0)
+        assert_valid_factors(jac)
+        err = np.linalg.norm((jac.U * jac.sigma) @ jac.V.T - A)
+        assert err <= 1e-14 * np.linalg.norm(A)
+
     def test_zero_operator(self):
         jac = randomized_svd(dense_operator(np.zeros((10, 10))), rank=3,
                              oversample=3, seed=0)

@@ -1,7 +1,10 @@
 """Forward models: prior sampler, Newton solve, adjoint Jacobian, toy map."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from derivop import models
@@ -210,6 +213,55 @@ class TestBandedCholesky:
                     assert x.shape == b.shape
                     assert np.linalg.norm(x - ref) <= \
                         1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_bitwise_equal_to_scipy_wrappers(self, n, monkeypatch):
+        """The direct dpbtrf/dpbtrs calls give the factor and the solves
+        that scipy's cholesky_banded and cho_solve_banded give."""
+        grid = Grid(n)
+        model = RDModel(grid=grid, obs_nodes=[grid.node(1, 1)])
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        rng = np.random.default_rng(n)
+        u, m = rng.standard_normal((2, model.d_u))
+        J, A = state_jacobian(model, u, m), prior_operator(prior)
+        cases = ((J, models._state_layout(grid)),
+                 (A, models._band_layout(A.indices, A.indptr, 0, model.d_u,
+                                         n)))
+        rhs = (rng.standard_normal(model.d_u),
+               rng.standard_normal((model.d_u, 30)))
+
+        def run(dpbtrf, dpbtrs):
+            """Band factors and solves with models' LAPACK calls replaced."""
+            factors = []
+
+            def factor(ab, overwrite_ab):
+                factors.append(dpbtrf(ab, overwrite_ab))
+                return factors[-1], 0
+
+            monkeypatch.setattr(models, "lapack", SimpleNamespace(
+                dpbtrf=factor, dpbtrs=lambda cb, b: (dpbtrs(cb, b), 0)))
+            done = [models._banded_cholesky(M, lay) for M, lay in cases]
+            return factors + [f.solve(b, trans) for f in done
+                              for trans in "NT" for b in rhs]
+
+        lapack = models.lapack
+        new = run(lambda ab, ow: lapack.dpbtrf(ab, overwrite_ab=ow)[0],
+                  lambda cb, b: lapack.dpbtrs(cb, b)[0])
+        old = run(lambda ab, ow: sla.cholesky_banded(
+                      ab, overwrite_ab=ow, check_finite=False),
+                  lambda cb, b: sla.cho_solve_banded(
+                      (cb, False), b, check_finite=False))
+        assert len(new) == len(old) == 2 + 2 * 2 * 2
+        for x, ref in zip(new, old):
+            np.testing.assert_array_equal(x, ref)
+
+    def test_not_positive_definite_raises(self, grid9, prior9):
+        A = -prior_operator(prior9)
+        lay = models._band_layout(A.indices, A.indptr, 0, grid9.num_nodes,
+                                  grid9.n)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="1-th leading minor not positive definite"):
+            models._banded_cholesky(A, lay)
 
 
 class TestObserve:
