@@ -6,6 +6,7 @@ basis (active subspace of E[J^T J]), the derivative-informed output basis
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from . import io
 from .linalg import check_orthonormal, symmetric_eig_topk
@@ -35,18 +36,28 @@ class ReducedBasisPair:
         return self.phi.shape[1]
 
 
-_GRAM_BLOCK = 16  # samples per GEMM; stacking all N raises peak memory
+_GRAM_BLOCK = 16  # samples per dsyrk; bounds the scaled block X_b
+_MIRROR_COLS = 64  # columns per step of the triangle mirror
 
 
 def _gram(factors, sigma):
-    """(1/N) sum_i X_i X_i^T with X_i = F_i S_i.  The X_i of _GRAM_BLOCK
-    samples are stacked into one d x (block r) matrix, one GEMM per block."""
-    G = np.zeros((factors.shape[1],) * 2)
-    for i in range(0, len(factors), _GRAM_BLOCK):
-        X = np.hstack(factors[i:i + _GRAM_BLOCK]
-                      * sigma[i:i + _GRAM_BLOCK, None])
-        G += X @ X.T
-    return G / len(factors)
+    """(1/N) sum_i X_i X_i^T, X_i = F_i S_i, as a C-ordered d x d array: one
+    in-place dsyrk per _GRAM_BLOCK samples adds X_b X_b^T to the upper
+    triangle of an F-ordered G (X_b is a view for column-major F_i, as
+    jac_v is), which is then mirrored and scaled.  G == G^T bitwise, with
+    the same bits under 1 and 2 BLAS threads."""
+    n, d, _ = factors.shape
+    G = np.zeros((d, d), order="F")
+    for i in range(0, n, _GRAM_BLOCK):
+        X = factors[i:i + _GRAM_BLOCK] * sigma[i:i + _GRAM_BLOCK, None]
+        dsyrk(1.0, X.transpose(0, 2, 1).reshape(-1, d).T, beta=1.0, c=G,
+              overwrite_c=True)
+    for j in range(0, d, _MIRROR_COLS):
+        k = j + _MIRROR_COLS
+        G[k:, j:k] = G[j:k, k:].T
+        G[j:k, j:k] += np.triu(G[j:k, j:k], 1).T
+    G /= n
+    return G.T  # the same memory, C-ordered: the eigensolver's fast layout
 
 
 def input_gram(ds):

@@ -192,9 +192,10 @@ def load_dataset(dirpath):
     with io.loading(dirpath, "dataset") as (arrays, manifest):
         meta = {k: v for k, v in manifest.items()
                 if k not in ("arrays", "format_version", "object")}
+        # Each V_i column-major, as generated: the same BLAS orientations.
+        jac_v = arrays["jac_V"].transpose(0, 2, 1).copy().transpose(0, 2, 1)
         ds = Dataset(m=arrays["m"], q=arrays["q"], jac_u=arrays["jac_U"],
-                     jac_sigma=arrays["jac_sigma"], jac_v=arrays["jac_V"],
-                     meta=meta)
+                     jac_sigma=arrays["jac_sigma"], jac_v=jac_v, meta=meta)
     if meta.get("rank") is not None and meta["rank"] != ds.rank:
         raise io.LoadError(
             f"manifest rank {meta['rank']} != stored rank {ds.rank}")

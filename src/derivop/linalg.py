@@ -170,6 +170,7 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
 _SUBSPACE_MIN_RATIO = 12  # iterate only when 12 k <= d
 _SUBSPACE_ITERS = 4
 _RITZ_TOL = 1e-12  # residual bound relative to the top Ritz value
+_ASYM_ROWS = 64  # rows per block of |S - S^T|: no d x d temporary
 
 
 def _subspace_topk(S, k):
@@ -211,7 +212,8 @@ def symmetric_eig_topk(S, k):
         raise ValueError(f"expected square matrix, got shape {S.shape}")
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix has non-finite entries")
-    asym = np.linalg.norm(S - S.T)
+    blocks = (slice(i, i + _ASYM_ROWS) for i in range(0, len(S), _ASYM_ROWS))
+    asym = np.linalg.norm([np.linalg.norm(S[b] - S[:, b].T) for b in blocks])
     if asym > 1e-10 * max(1.0, np.linalg.norm(S)):
         raise ValueError(f"matrix not symmetric, |S - S^T| = {asym:.3e}")
     if not 1 <= k <= S.shape[0]:

@@ -1,12 +1,18 @@
 """Tests-side references that no program code calls: the truncated-SVD
-Jacobian error bound, and the full enumeration of the shipped
-matrix-subsampled (MS) penalty against its closed-form expectations.
+Jacobian error bound, the full enumeration of the shipped
+matrix-subsampled (MS) penalty against its closed-form expectations, and a
+runner that hashes results under 1 and 2 BLAS threads.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import derivop
 from derivop.datagen import Dataset
 from derivop.netop import (
     MLPSpec,
@@ -98,3 +104,37 @@ def ms_enumeration_errors(model, m, U, sigma, V, k, rescale=False):
                             "dependent", rescale))
     return (abs(indep - expected_indep) / expected_indep,
             abs(dep - expected_dep) / expected_dep)
+
+
+# Generates the 4-sample dataset ``ds`` of an RD problem (argv: grid nodes
+# per side, sensors per side, rank); a caller appends lines that print hashes.
+BLAS_HASH_SETUP = """
+import hashlib, sys
+from derivop.datagen import generate_dataset
+from derivop.models import (Grid, PriorConfig, RDModel,
+                            lower_half_observation_nodes)
+n, per_side, rank = map(int, sys.argv[1:])
+grid = Grid(n)
+model = RDModel(grid=grid,
+                obs_nodes=lower_half_observation_nodes(grid, per_side))
+prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+ds = generate_dataset(model, prior, 4, rank=rank, seed=7)
+"""
+
+
+def hashes_under_blas_threads(script, n, per_side, rank):
+    """Printed words of BLAS_HASH_SETUP + ``script`` under 1 and 2 BLAS
+    threads, one process each: OpenBLAS reads its thread count when it
+    loads."""
+    src = str(Path(derivop.__file__).resolve().parents[1])
+    words = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", BLAS_HASH_SETUP + script, str(n),
+             str(per_side), str(rank)], env=env, capture_output=True,
+            text=True, check=True, timeout=300)
+        words.append(run.stdout.split())
+    return words

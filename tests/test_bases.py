@@ -1,8 +1,12 @@
 """Reduced bases: active subspace, derivative output basis, PCA baselines."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from reference import hashes_under_blas_threads
 
 from derivop.bases import (
     _GRAM_BLOCK,
@@ -19,6 +23,7 @@ from derivop.bases import (
 )
 from derivop.datagen import Dataset, generate_dataset
 from derivop.io import LoadError, load_arrays, save_arrays
+from derivop.linalg import symmetric_eig_topk
 from derivop.models import ToyMap
 
 
@@ -119,10 +124,17 @@ class TestActiveSubspace:
         np.testing.assert_allclose(psi @ psi.T, ref @ ref.T, atol=1e-10)
 
 
+def column_major(stack):
+    """The same (n, d, r) values with each d x r matrix column-major."""
+    return stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("n", [1, _GRAM_BLOCK - 1, _GRAM_BLOCK + 1,
                                2 * _GRAM_BLOCK + 3])
 def test_grams_match_per_sample_sum_across_blocks(n):
-    """Full and partial Gram blocks both equal the per-sample sum."""
+    """Full and partial Gram blocks both equal the per-sample sum, for
+    row-major factors and column-major ones (as generated), and each Gram
+    is C-ordered and exactly symmetric."""
     rng = np.random.default_rng(n)
     ds = dataset_from_jacobians(rng.standard_normal((n, 7, 11)), rng)
     dense_in, dense_out = np.zeros((11, 11)), np.zeros((7, 7))
@@ -130,10 +142,62 @@ def test_grams_match_per_sample_sum_across_blocks(n):
         J = (ds.jac_u[i] * ds.jac_sigma[i]) @ ds.jac_v[i].T
         dense_in += J.T @ J
         dense_out += J @ J.T
-    for gram, dense in ((input_gram, dense_in), (output_gram, dense_out)):
-        dense /= n
-        assert np.linalg.norm(gram(ds) - dense) \
-            <= 1e-13 * np.linalg.norm(dense)
+    dense_in, dense_out = dense_in / n, dense_out / n
+    flipped = replace(ds, jac_u=column_major(ds.jac_u),
+                      jac_v=column_major(ds.jac_v))
+    assert flipped.jac_v.strides[1] == 8 and ds.jac_v.strides[2] == 8
+    for data in (ds, flipped):
+        for gram, dense in ((input_gram, dense_in), (output_gram, dense_out)):
+            G = gram(data)
+            assert G.flags.c_contiguous
+            np.testing.assert_array_equal(G, G.T)
+            assert np.linalg.norm(G - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_and_eigensolve_allocate_no_second_square(monkeypatch):
+    """input_gram holds one d x d array, and the subspace path of
+    symmetric_eig_topk no d x d temporary (d_M = 1089, as fine-sketch)."""
+    rng = np.random.default_rng(5)
+    n, d_m, d_q, r = 4, 1089, 10, 8
+    V = column_major(np.linalg.qr(rng.standard_normal((n, d_m, r)))[0])
+    U = np.linalg.qr(rng.standard_normal((n, d_q, r)))[0]
+    sigma = rng.uniform(1.0, 2.0, (n, 1)) * np.geomspace(1.0, 1e-7, r)
+    ds = Dataset(m=rng.standard_normal((n, d_m)),
+                 q=rng.standard_normal((n, d_q)),
+                 jac_u=U, jac_sigma=sigma, jac_v=V, meta={})
+    G = input_gram(ds)
+    assert traced_peak(input_gram, ds) <= 1.25 * G.nbytes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back to scipy.linalg.eigh")
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    assert traced_peak(symmetric_eig_topk, G, 8) <= 0.25 * G.nbytes
+
+
+# Prints the SHA-256 of both Grams of the generated dataset.
+GRAM_HASH_SCRIPT = """
+from derivop.bases import input_gram, output_gram
+for gram in (input_gram, output_gram):
+    print(hashlib.sha256(gram(ds).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("n, per_side, rank", [(17, 5, 25), (33, 10, 20)],
+                         ids=["exact", "sketched"])
+def test_grams_invariant_to_blas_threads(n, per_side, rank):
+    one, two = hashes_under_blas_threads(GRAM_HASH_SCRIPT, n, per_side, rank)
+    assert len(one) == 2
+    assert one == two
 
 
 class TestOutputBasis:

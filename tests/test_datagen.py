@@ -1,16 +1,13 @@
 """Dataset generation, persistence round-trips, and reduced projection."""
 
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import hashes_under_blas_threads
 
-import derivop
 from derivop import datagen
 from derivop.datagen import (
     Dataset,
@@ -49,18 +46,8 @@ def rd_ds():
     return generate_dataset(model, prior, 8, rank=10, seed=17)
 
 
-# Prints the SHA-256 of each stored array of a 4-sample dataset.
+# Prints the SHA-256 of each stored array of the generated dataset.
 HASH_SCRIPT = """
-import hashlib, sys
-from derivop.datagen import generate_dataset
-from derivop.models import (Grid, PriorConfig, RDModel,
-                            lower_half_observation_nodes)
-n, per_side, rank = map(int, sys.argv[1:])
-grid = Grid(n)
-model = RDModel(grid=grid,
-                obs_nodes=lower_half_observation_nodes(grid, per_side))
-prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
-ds = generate_dataset(model, prior, 4, rank=rank, seed=7)
 for name in ("m", "q", "jac_u", "jac_sigma", "jac_v"):
     print(name, hashlib.sha256(getattr(ds, name).tobytes()).hexdigest())
 """
@@ -127,20 +114,9 @@ class TestGenerate:
     @pytest.mark.parametrize("n, per_side, rank", [(17, 5, 25), (33, 10, 20)],
                              ids=["exact", "sketched"])
     def test_rd_invariant_to_blas_threads(self, n, per_side, rank):
-        # OpenBLAS reads its thread count when it loads: one process each.
-        src = str(Path(derivop.__file__).resolve().parents[1])
-        hashes = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src,
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            run = subprocess.run(
-                [sys.executable, "-c", HASH_SCRIPT, str(n), str(per_side),
-                 str(rank)], env=env, capture_output=True, text=True,
-                check=True, timeout=300)
-            hashes.append(run.stdout.split())
-        assert len(hashes[0]) == 10
-        assert hashes[0] == hashes[1]
+        one, two = hashes_under_blas_threads(HASH_SCRIPT, n, per_side, rank)
+        assert len(one) == 10
+        assert one == two
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_newton_failure_names_its_sample(self, monkeypatch, threads):
@@ -219,6 +195,9 @@ class TestPersistence:
         np.testing.assert_array_equal(back.jac_u, rd_ds.jac_u)
         np.testing.assert_array_equal(back.jac_sigma, rd_ds.jac_sigma)
         np.testing.assert_array_equal(back.jac_v, rd_ds.jac_v)
+        # Each V_i column-major, as generated.
+        assert back.jac_v.strides == rd_ds.jac_v.strides == (81 * 10 * 8, 8,
+                                                             81 * 8)
         assert back.meta["rank"] == 10
 
     def test_same_seed_byte_identical_files(self, tmp_path):
