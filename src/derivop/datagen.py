@@ -120,6 +120,8 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
     ``rank`` defaults to d_Q.  ``model`` is an RDModel (with a PriorConfig)
     or a ToyMap (prior_cfg None draws standard-normal parameters).  The
     metadata counts the Jacobian-action columns (linearized solves) per sample.
+    ``threads > 1`` gives the same bits but no speed-up: most of a sample's
+    time is spent in f2py LAPACK wrappers that hold the GIL (dpbtrs, dgesdd).
     """
     if rank is None:
         rank = model.d_q

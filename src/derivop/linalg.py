@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,29 @@ def fix_signs(U, companion=None):
     return U, np.asarray(companion, dtype=float) * signs
 
 
+def _lapack(name, *args, **kwargs):
+    """LAPACK's ``name`` without scipy's checks; LinAlgError if info != 0."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"{name} returned info = {info}")
+    return out
+
+
 def _orthonormalize(Y):
-    return scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
+    """Thin Householder QR (Q, R) of a tall Y, by dgeqrf and dorgqr."""
+    qr, tau, _ = _lapack("dgeqrf", Y)
+    R = np.triu(qr[:len(tau)])
+    return _lapack("dorgqr", qr, tau, overwrite_a=True)[0], R
 
 
 def _svd_of_transpose(Bt):
     """Thin SVD (U, s, V) of B = Bt^T for a tall Bt, through the small SVD
-    of R^T from the Householder QR Bt = Q R; V = Q W, formed as (W^T Q^T)^T
-    with the layout of a thin SVD's Vt.T: a C-ordered stacked jac_v doubles
-    the time of metrics.gradient_accuracy's batched product."""
-    Q, R = scipy.linalg.qr(Bt, mode="economic", check_finite=False)
-    U, s, Wt = np.linalg.svd(R.T)
-    return U, s, (Wt @ Q.T).T
+    (dgesdd) of R^T from the Householder QR Bt = Q R; V = Q W.  U and V get
+    a thin SVD's layouts, V as (W^T Q^T)^T: an F-ordered jac_u or C-ordered
+    jac_v slows the batched products over the stored factors."""
+    Q, R = _orthonormalize(Bt)
+    U, s, Wt = _lapack("dgesdd", R.T)
+    return np.ascontiguousarray(U), s, (Wt @ Q.T).T
 
 
 def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
@@ -155,10 +167,10 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
     else:
         rng = np.random.default_rng(seed)
         Omega = rng.standard_normal((op.ncols, ell))
-        Q = _orthonormalize(op.apply(Omega))
+        Q = _orthonormalize(op.apply(Omega))[0]
         for _ in range(power_iters):
-            Z = _orthonormalize(op.apply_transpose(Q))
-            Q = _orthonormalize(op.apply(Z))
+            Z = _orthonormalize(op.apply_transpose(Q))[0]
+            Q = _orthonormalize(op.apply(Z))[0]
         # B = Q^T A, formed row-wise through the transpose action.
         Ub, s, V = _svd_of_transpose(op.apply_transpose(Q))
         U = Q @ Ub[:, :rank]
@@ -170,7 +182,7 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
 _SUBSPACE_MIN_RATIO = 12  # iterate only when 12 k <= d
 _SUBSPACE_ITERS = 4
 _RITZ_TOL = 1e-12  # residual bound relative to the top Ritz value
-_ASYM_ROWS = 64  # rows per block of |S - S^T|: no d x d temporary
+_ASYM_ROWS = 64  # rows per block of the checks: no d x d temporary
 
 
 def _subspace_topk(S, k):
@@ -210,9 +222,9 @@ def symmetric_eig_topk(S, k):
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected square matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
+    blocks = [slice(i, i + _ASYM_ROWS) for i in range(0, len(S), _ASYM_ROWS)]
+    if not all(np.isfinite(S[b]).all() for b in blocks):
         raise ValueError("matrix has non-finite entries")
-    blocks = (slice(i, i + _ASYM_ROWS) for i in range(0, len(S), _ASYM_ROWS))
     asym = np.linalg.norm([np.linalg.norm(S[b] - S[:, b].T) for b in blocks])
     if asym > 1e-10 * max(1.0, np.linalg.norm(S)):
         raise ValueError(f"matrix not symmetric, |S - S^T| = {asym:.3e}")

@@ -327,8 +327,24 @@ def parameter_jacobian(model, u, m):
     return st.assemble(0.5 * k[q] * du, diag)
 
 
+@lru_cache(maxsize=8)
+def _start(model):
+    """Newton's default start as a map m -> u: the tangent predictor
+    u_0 - [dR/du]^{-1} dR/dm m at the m = 0 state u_0 (the Dirichlet rows of
+    dR/dm are zero), or the linear-in-y profile if u_0's solve fails."""
+    m0, linear = np.zeros(model.d_m), model.grid.coords()[:, 1]
+    try:
+        u = solve_state(model, m0, u0=linear)
+    except NewtonConvergenceError:
+        return lambda m: linear.copy()
+    lu = spla.splu(state_jacobian(model, u, m0), _state_layout(model.grid))
+    dRdm = parameter_jacobian(model, u, m0)
+    return lambda m: u - lu.solve(dRdm @ m, "N")
+
+
 def solve_state(model, m, u0=None):
-    """Newton solve of R(u, m) = 0 with Armijo backtracking.
+    """Newton solve of R(u, m) = 0 with Armijo backtracking, from ``u0`` or
+    else from ``_start(model)(m)``, which is cached per model.
 
     Converges when ||R||_2 <= newton_tol * max(1, ||s||_2).  Raises
     ``ValueError`` for a non-finite m, else :class:`NewtonConvergenceError`
@@ -338,12 +354,7 @@ def solve_state(model, m, u0=None):
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("m has non-finite entries")
-    grid = model.grid
-    if u0 is None:
-        # Linear-in-y profile satisfies the Dirichlet data exactly.
-        u = np.repeat(np.linspace(0.0, 1.0, grid.n), grid.n)
-    else:
-        u = np.array(u0, dtype=float)
+    u = _start(model)(m) if u0 is None else np.array(u0, dtype=float)
     tol = model.newton_tol * max(1.0, float(np.linalg.norm(model.source)))
     with np.errstate(over="ignore", invalid="ignore"):
         R = residual(model, u, m)
@@ -356,7 +367,7 @@ def solve_state(model, m, u0=None):
             return u
         J = state_jacobian(model, u, m)
         try:
-            step = spla.splu(J, _state_layout(grid)).solve(-R, "N")
+            step = spla.splu(J, _state_layout(model.grid)).solve(-R, "N")
         except np.linalg.LinAlgError as exc:
             raise NewtonConvergenceError(f"dR/du: {exc}", history) from exc
         alpha = 1.0

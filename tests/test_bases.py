@@ -181,7 +181,9 @@ def test_gram_and_eigensolve_allocate_no_second_square(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fell back to scipy.linalg.eigh")
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
-    assert traced_peak(symmetric_eig_topk, G, 8) <= 0.25 * G.nbytes
+    # The subspace iteration alone peaks at 0.097x; an unblocked
+    # finiteness check (a d x d boolean temporary) reads 0.125x.
+    assert traced_peak(symmetric_eig_topk, G, 8) <= 0.11 * G.nbytes
 
 
 # Prints the SHA-256 of both Grams of the generated dataset.

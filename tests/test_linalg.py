@@ -169,6 +169,44 @@ class TestRandomizedSVD:
         assert np.all(jac.U[peaks, np.arange(3)] > 0)
 
 
+class TestDirectLapack:
+    """_orthonormalize and _svd_of_transpose call dgeqrf, dorgqr and dgesdd
+    directly; scipy's QR and numpy's SVD are the oracle."""
+
+    SHAPES = [(289, 25), (1089, 30), (100, 30)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_match_scipy_qr_and_numpy_svd(self, shape):
+        Y = np.random.default_rng(shape[0]).standard_normal(shape)
+        Q, R = scipy.linalg.qr(Y, mode="economic")
+        for mine, oracle in zip(linalg._orthonormalize(Y), (Q, R)):
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-13)
+        Ur, sr, Wt = np.linalg.svd(R.T)
+        Vr = (Wt @ Q.T).T
+        U, s, V = linalg._svd_of_transpose(Y)
+        np.testing.assert_allclose(U, Ur, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(s, sr, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(V, Vr, rtol=0, atol=1e-13)
+        assert V.strides == Vr.strides == (8, 8 * shape[0])
+        assert U.strides == Ur.strides == (8 * shape[1], 8)
+
+    @pytest.mark.parametrize("name", ["dgeqrf", "dorgqr", "dgesdd"])
+    def test_nonzero_info_raises(self, name, monkeypatch):
+        wrapper = getattr(linalg.lapack, name)
+
+        def fails(*args, **kwargs):
+            return (*wrapper(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(linalg.lapack, name, fails)
+        Y = np.random.default_rng(1).standard_normal(self.SHAPES[-1])
+        kernels = [linalg._svd_of_transpose]
+        if name != "dgesdd":
+            kernels.append(linalg._orthonormalize)
+        for kernel in kernels:
+            with pytest.raises(np.linalg.LinAlgError, match=f"{name} .* 1"):
+                kernel(Y)
+
+
 def test_check_orthonormal():
     rng = np.random.default_rng(6)
     Q = random_orthonormal(7, 3, rng)
@@ -255,6 +293,13 @@ class TestSymmetricEig:
         # checked before the asymmetry test, whose S - S^T would warn on Inf
         S = np.eye(4)
         S[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eig_topk(S, k=2)
+
+    def test_rejects_non_finite_in_last_row_block(self):
+        # the check runs over row blocks; row 140 of 150 is in the last one
+        S = np.eye(150)
+        S[140, 140] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             symmetric_eig_topk(S, k=2)
 

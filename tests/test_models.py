@@ -162,6 +162,44 @@ class TestSolveState:
         np.testing.assert_allclose(u[-n:], 1.0, atol=1e-14)
         np.testing.assert_allclose(u, solve_state(model9, m), atol=1e-12)
 
+    @pytest.mark.parametrize("knobs", [{"newton_max_iters": 0},
+                                       {"newton_tol": 1e-15}])
+    def test_failed_mean_state_falls_back_to_linear_profile(self, grid9,
+                                                            prior9, knobs):
+        # The m = 0 solve fails, so there is no predictor; the sample's own
+        # solve then fails from the linear profile and says so.
+        model = RDModel(grid=grid9, **knobs)
+        m = sample_prior(prior9, np.random.default_rng(16))
+        with pytest.raises(NewtonConvergenceError) as info:
+            solve_state(model, m)
+        start = residual(model, grid9.coords()[:, 1], m)
+        assert info.value.history[0] == np.linalg.norm(start)
+
+    @pytest.mark.parametrize("n, per_side", [(17, 5), (33, 10)],
+                             ids=["dino-pipeline", "fine-sketch"])
+    def test_predictor_start_takes_two_newton_steps(self, n, per_side,
+                                                    monkeypatch):
+        grid = Grid(n)
+        model = RDModel(grid=grid,
+                        obs_nodes=lower_half_observation_nodes(grid, per_side))
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        models._start(model)  # the m = 0 solve is not counted
+        steps = []
+
+        def counted(*args):
+            steps.append(args)
+            return state_jacobian(*args)
+
+        monkeypatch.setattr(models, "state_jacobian", counted)
+        rng = np.random.default_rng(17)
+        for _ in range(16):
+            m = sample_prior(prior, rng)
+            steps.clear()
+            u = solve_state(model, m)
+            assert len(steps) <= 2
+            u_lin = solve_state(model, m, u0=grid.coords()[:, 1])
+            assert np.linalg.norm(u - u_lin) <= 1e-12 * np.linalg.norm(u_lin)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, model9, value):
         m = np.zeros(model9.d_m)

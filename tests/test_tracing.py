@@ -38,6 +38,7 @@ def test_one_factorization_per_newton_step_and_operator():
     model = models.RDModel(grid=grid)
     prior = models.PriorConfig(delta=1.0, gamma=0.1, grid=grid)
     models.sample_prior(prior, np.random.default_rng(0))  # caches its factor
+    models.solve_state(model, np.zeros(model.d_m))  # caches the predictor
     with tracing.Tracer().installed() as tracer:
         datagen.generate_dataset(model, prior, 3, rank=4, seed=2)
     table = tracing.SpanTable(tracer.spans)
