@@ -123,10 +123,8 @@ def _lapack(name, *args, **kwargs):
 
 
 def _orthonormalize(Y):
-    """Thin Householder QR (Q, R) of a tall Y, by dgeqrf and dorgqr."""
-    qr, tau, _ = _lapack("dgeqrf", Y)
-    R = np.triu(qr[:len(tau)])
-    return _lapack("dorgqr", qr, tau, overwrite_a=True)[0], R
+    """Q of the thin Householder QR of a tall Y, by dgeqrf and dorgqr."""
+    return _lapack("dorgqr", *_lapack("dgeqrf", Y)[:2], overwrite_a=True)[0]
 
 
 def _svd_of_transpose(Bt):
@@ -134,8 +132,9 @@ def _svd_of_transpose(Bt):
     (dgesdd) of R^T from the Householder QR Bt = Q R; V = Q W.  U and V get
     a thin SVD's layouts, V as (W^T Q^T)^T: an F-ordered jac_u or C-ordered
     jac_v slows the batched products over the stored factors."""
-    Q, R = _orthonormalize(Bt)
-    U, s, Wt = _lapack("dgesdd", R.T)
+    qr, tau, _ = _lapack("dgeqrf", Bt)
+    U, s, Wt = _lapack("dgesdd", np.triu(qr[:len(tau)]).T)
+    Q = _lapack("dorgqr", qr, tau, overwrite_a=True)[0]
     return np.ascontiguousarray(U), s, (Wt @ Q.T).T
 
 
@@ -167,10 +166,10 @@ def randomized_svd(op, rank, oversample=10, power_iters=1, seed=0):
     else:
         rng = np.random.default_rng(seed)
         Omega = rng.standard_normal((op.ncols, ell))
-        Q = _orthonormalize(op.apply(Omega))[0]
+        Q = _orthonormalize(op.apply(Omega))
         for _ in range(power_iters):
-            Z = _orthonormalize(op.apply_transpose(Q))[0]
-            Q = _orthonormalize(op.apply(Z))[0]
+            Z = _orthonormalize(op.apply_transpose(Q))
+            Q = _orthonormalize(op.apply(Z))
         # B = Q^T A, formed row-wise through the transpose action.
         Ub, s, V = _svd_of_transpose(op.apply_transpose(Q))
         U = Q @ Ub[:, :rank]

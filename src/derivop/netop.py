@@ -11,19 +11,21 @@ Two wrappings of the same latent MLP:
 Every Jacobian product A_i^T J_i B_i comes off one of two batched sweeps,
 each costing in proportion to the columns it carries per sample.  The
 tangent tape carries the cols columns of a right factor B_i (or of the
-identity) up the network, next to those of every other sample: T_0 = B_i
-and T_l = d1_l * (W_l T_{l-1}), stored (n_l, n, cols), so block i of T_L
-is J(m_i) B_i.  The adjoint sweep, its mirror, carries the rows columns of
-a left factor A_i (or of the identity) down it: Q_L = A_i,
-P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, stored (n_{l-1}, n, rows), so
-block i of Q_0 is J(m_i)^T A_i.  Each layer of either costs one 2-D GEMM,
-W_l or W_l^T times the stacked (width, n * columns) array (BLAS runs this
-orientation faster than the transposed one), and forms its array only when
-pulled.  The shapes alone pick the sweep: the adjoint one iff rows < cols,
-and ties keep the tangent tape.  So h1_full penalties and the Jacobian
-read-offs take the adjoint sweep when the net's output is narrower than
-its input, as DINO's r_Q x r_M Jacobian is, and the truncated penalties
-(rows = cols) the tangent tape.
+identity) up the network, next to those of every other sample: T_0 = B_i and
+T_l = d1_l * (W_l T_{l-1}), stored (cols, n, n_l), so T_L[:, i] is
+(J(m_i) B_i)^T.  The adjoint sweep, its mirror, carries the rows columns of
+a left factor A_i (or of the identity) down it: Q_L = A_i, P_l = d1_l * Q_l
+and Q_{l-1} = W_l^T P_l, stored (rows, n, n_{l-1}), so Q_0[:, i] is
+A_i^T J(m_i).  Every array is stored column-outer, (columns, n, width), so
+that each layer's work is dense: one GEMM of the stacked
+(columns * n, width) array by W_l^T or W_l, a d1 scaling that broadcasts the
+(n, width) d1_l over the leading axis (inner loops n * width long, not
+columns long), and a weight gradient that contracts the leading axes in one
+GEMM, with no copy.  Each array forms only when pulled.  The shapes alone
+pick the sweep: the adjoint one iff rows < cols, and ties keep the tangent
+tape.  So h1_full penalties and the Jacobian read-offs take the adjoint
+sweep when the net's output is narrower than its input, as DINO's r_Q x r_M
+Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
 
 One combinator, ``_penalty``, holds that pick and serves the penalty
 ||C_i - A_i^T J_i B_i||^2.  It reads A^T J B off the picked sweep and keeps
@@ -32,10 +34,10 @@ that sweep's arrays; the Jacobian read-offs (``parametric_jacobian``,
 weight gradient (double backpropagation: second-order adjoints, forward
 over reverse) streams the other sweep against them, seeded from Ebar_i,
 the loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
-kept tangent tape, or T_0 = B_i Ebar_i^T up a kept adjoint sweep.  One rule
-per layer, ``_layer_pair``, reads the pair the value-loss backward pass
-consumes off the two sides: dW_l = P_l T_{l-1}^T and
-d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
+kept tangent tape, or T_0 = B_i Ebar_i^T up a kept adjoint sweep, which
+keeps its P_l too.  One rule per layer, ``_layer_pair``, reads the pair the
+value-loss backward pass consumes off the two sides: dW_l = P_l T_{l-1}^T
+and d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
 
 A loss reads its samples from a ``datagen.Dataset``: one container holds
 generated sets, mini-batches and latent sets.  A reduced-basis model's loss
@@ -44,6 +46,7 @@ through ``datagen.reduce_dataset``, the one place that projects samples
 onto the bases.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,21 +237,21 @@ PENALTY_FLOPS = FlopCounter()
 def _tangent_tape(layers, d1s, T, flops):
     """Push tangent columns through the net, stacked over the batch.
 
-    ``T`` is T_0 laid out (n_0, n, cols), or None for the identity
+    ``T`` is T_0 laid out (cols, n, n_0), or None for the identity
     (cols = n_0).  Yields T_l = d1_l * (W_l T_{l-1}) for l = 1..L, each
-    (n_l, n, cols) and each one GEMM on the stacked (n_{l-1}, n * cols)
-    array.  Multiplies are added to the FlopCounter ``flops``.
+    (cols, n, n_l), C-contiguous and one GEMM of (cols * n, n_{l-1}) by
+    W_l^T.  Multiplies are added to the FlopCounter ``flops``.
     """
     for (W, _), d1 in zip(layers, d1s):
-        scale = d1.T[:, :, None]
         if T is None:
-            # C order, so that the next layer's reshape is a view
-            T = np.multiply(W[:, None, :], scale, order="C")
+            # T_1[c, i, o] = W[o, c] d1[i, o]
+            T = np.multiply(W.T[:, None, :], d1, order="C")
         else:
-            n_in, n, cols = T.shape
-            T = (W @ T.reshape(n_in, n * cols)).reshape(W.shape[0], n, cols)
-            T *= scale
-            flops.count += W.size * n * cols
+            # a contiguous W_l^T: OpenBLAS runs the NN product faster
+            T = (T.reshape(-1, W.shape[1]) @ np.ascontiguousarray(W.T)
+                 ).reshape(*T.shape[:2], len(W))
+            T *= d1
+            flops.count += W.shape[1] * T.size
         flops.count += T.size
         yield T
 
@@ -256,29 +259,27 @@ def _tangent_tape(layers, d1s, T, flops):
 def _adjoint_sweep(layers, d1s, Q, flops):
     """Pull adjoint rows down the net, stacked over the batch.
 
-    ``Q`` is Q_L laid out (n_L, n, rows), or None for the identity
+    ``Q`` is Q_L laid out (rows, n, n_L), or None for the identity
     (rows = n_L).  Yields (Q_l, P_l) for l = L..1 and then (Q_0, None), with
-    P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, each (n_{l-1}, n, rows) and
-    each one GEMM on the stacked (n_l, n * rows) array; block i of Q_0 is
-    J(m_i)^T A_i.  An identity seed yields (None, None) for Q_L = I and
-    P_L = diag(d1_L).  Each pull forms only the arrays it yields, and their
-    multiplies are added to the FlopCounter ``flops``.
+    P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, one GEMM of (rows * n, n_l) by
+    W_l; each is (rows, n, width) and C-contiguous past the seed, and
+    Q_0[:, i] is A_i^T J(m_i).  An identity seed yields (None, None) for
+    Q_L = I and P_L = diag(d1_L).  Each pull forms only the arrays it
+    yields, and their multiplies are added to the FlopCounter ``flops``.
     """
     P = None
     for (W, _), d1 in zip(layers[::-1], d1s[::-1]):
         if Q is not None:
-            # C order, so that the GEMM's reshape is a view
-            P = np.multiply(Q, d1.T[:, :, None], order="C")
+            P = np.multiply(Q, d1, order="C")
             flops.count += P.size
         yield Q, P
         if P is None:
-            # Q[k, i, r] = W[r, k] d1[i, r]; C order, as in _tangent_tape
-            Q = np.multiply(W.T[:, None, :], d1, order="C")
+            # Q_{L-1}[r, i, k] = d1[i, r] W[r, k]
+            Q = np.multiply(d1.T[:, :, None], W[:, None, :], order="C")
             flops.count += Q.size
         else:
-            n_out, n, rows = P.shape
-            Q = (W.T @ P.reshape(n_out, n * rows)).reshape(W.shape[1], n, rows)
-            flops.count += W.size * n * rows
+            Q = (P.reshape(-1, len(W)) @ W).reshape(*P.shape[:2], W.shape[1])
+            flops.count += W.shape[1] * P.size
     yield Q, None
 
 
@@ -288,8 +289,8 @@ def parametric_jacobian(model, m):
     ``_penalty`` reads it off with identity seeds."""
     m = np.asarray(m, dtype=float)
     X = m @ model.bases.psi if model.kind == "reduced_basis" else m
-    _, d1s, ratios = _mlp_forward(model.weights, np.atleast_2d(X))
-    J = _penalty(model.weights.layers(), d1s, ratios, None, None,
+    _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
+    J = _penalty(model.weights.layers(), d1s, None, None, None,
                  FlopCounter())[0]
     return J[0] if m.ndim == 1 else J
 
@@ -299,11 +300,11 @@ def preactivation_jacobian(model, m):
     ``m``, so that J(m) = K(m) W_1 (A_1 = W_1 m + b_1).  ``_penalty`` reads
     the Jacobian of layers 2..L off with identity seeds, and its columns
     are scaled by d1_1, so no sweep reaches the d_M-wide W_1."""
-    _, d1s, ratios = _mlp_forward(model.weights, m)
+    _, d1s, _ = _mlp_forward(model.weights, m)
     layers = model.weights.layers()
     if len(layers) == 1:
         return d1s[0][:, :, None] * np.eye(d1s[0].shape[1])
-    J = _penalty(layers[1:], d1s[1:], ratios[1:], None, None, FlopCounter())[0]
+    J = _penalty(layers[1:], d1s[1:], None, None, None, FlopCounter())[0]
     return J * d1s[0][:, None, :]
 
 
@@ -378,19 +379,17 @@ def _penalty_terms(model, batch, cfg, ms_idx):
 
 
 def _layer_pair(W, d1, ratio, T_prev, T, Q, P):
-    """One layer's (dW_l, d2-seed_l): dW_l = P_l T_{l-1}^T and
-    d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), summed over each sample's
-    columns.  ``T_prev`` None is T_0 = I; ``P`` None is formed here, in place
-    over ``Q``.  ``Q`` None is Q_L = I, so P_L = diag(d1_L), and only the
-    diagonal of T_L is read, as d1_L * (W_L T_{L-1}): T_L is never formed."""
+    """One layer's (dW_l, d2-seed_l) off (cols, n, width) arrays:
+    dW_l = P_l T_{l-1}^T, one GEMM over the two leading axes, and
+    d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l).  ``T_prev`` None is T_0 = I.
+    ``Q`` None is Q_L = I, so P_L = diag(d1_L), and only the diagonal of
+    T_L is read, as d1_L * (W_L T_{L-1}): T_L is never formed."""
     if Q is None:
-        return (np.einsum("bo,kbo->ok", d1, T_prev),
-                ratio * d1 * np.einsum("ok,kbo->bo", W, T_prev))
-    seed = ratio * np.einsum("obc,obc->bo", Q, T)
-    if P is None:
-        P = np.multiply(Q, d1.T[:, :, None], out=Q)
-    gW = P.sum(axis=1) if T_prev is None \
-        else P.reshape(len(P), -1) @ T_prev.reshape(len(T_prev), -1).T
+        return (np.einsum("bo,obk->ok", d1, T_prev),
+                ratio * d1 * np.einsum("ok,obk->bo", W, T_prev))
+    seed = ratio * np.einsum("cbw,cbw->bw", Q, T)
+    gW = P.sum(axis=1).T if T_prev is None \
+        else P.reshape(-1, P.shape[2]).T @ T_prev.reshape(-1, T_prev.shape[2])
     return gW, seed
 
 
@@ -398,42 +397,44 @@ def _penalty(layers, d1s, ratios, A, B, flops):
     """A^T J B stacked (n, rows, cols), and the function that maps Ebar (the
     loss gradient with respect to it) to the per-layer (dW_l, d2-seed_l).
     netop's one sweep pick: the sweep with fewer columns per sample gives
-    A^T J B on the FlopCounter ``flops`` and is kept; the other one streams
-    from Ebar against it, on a throwaway counter.  The function frees each
-    kept array after its layer, so it may run only once, or not at all."""
+    A^T J B on the FlopCounter ``flops`` and is kept, P_l included; the other
+    one streams from Ebar against it, on a throwaway counter, in the same
+    (columns, n, width) layout.  The function frees each kept array after
+    its layer, so it may run only once, or not at all.  ``ratios`` None, for
+    a read-off of A^T J B alone, keeps no array; the function must not run."""
     rows = d1s[-1].shape[1] if A is None else A.shape[2]
     cols = layers[0][0].shape[1] if B is None else B.shape[2]
+    keep = 1 if ratios is None else None  # sweep items kept (None: all)
     if rows < cols:
-        # a copy, since _layer_pair forms P_L over it
-        QL = None if A is None else A.transpose(1, 0, 2).copy()
-        *Qs, Q0 = (Q for Q, _ in _adjoint_sweep(layers, d1s, QL, flops))
-        S = Q0.transpose(1, 2, 0)
+        QL = None if A is None else A.transpose(2, 0, 1)
+        *QPs, (Q0, _) = deque(_adjoint_sweep(layers, d1s, QL, flops), keep)
+        S = Q0.transpose(1, 0, 2)
         if B is not None:
             S = S @ B
             flops.count += Q0.size * B.shape[2]
 
         def pairs(Ebar):
             T = Ebar if B is None else Ebar @ B.transpose(0, 2, 1)
-            T = np.ascontiguousarray(T.transpose(2, 0, 1))
+            T = np.ascontiguousarray(T.transpose(1, 0, 2))
             tape = _tangent_tape(layers, d1s, T, FlopCounter())
             out = []
             for (W, _), d1, ratio in zip(layers, d1s, ratios):
-                T_prev, Q = T, Qs.pop()  # frees T_{l-1} before T_{l+1} forms
+                T_prev, (Q, P) = T, QPs.pop()  # drops T_{l-1} before T_{l+1}
                 T = None if Q is None else next(tape)
-                out.append(_layer_pair(W, d1, ratio, T_prev, T, Q, None))
+                out.append(_layer_pair(W, d1, ratio, T_prev, T, Q, P))
             return out
         return S, pairs
 
-    T0 = None if B is None else np.ascontiguousarray(B.transpose(1, 0, 2))
-    Ts = [T0, *_tangent_tape(layers, d1s, T0, flops)]
-    S = Ts[-1].transpose(1, 0, 2)
+    T0 = None if B is None else np.ascontiguousarray(B.transpose(2, 0, 1))
+    Ts = [T0, *deque(_tangent_tape(layers, d1s, T0, flops), keep)]
+    S = Ts[-1].transpose(1, 2, 0)
     if A is not None:
         S = A.transpose(0, 2, 1) @ S
         flops.count += A.size * S.shape[2]
 
     def pairs(Ebar):
         sweep = _adjoint_sweep(layers, d1s, (Ebar if A is None else A @ Ebar)
-                               .transpose(1, 0, 2), FlopCounter())
+                               .transpose(2, 0, 1), FlopCounter())
         # pops T_l, read for the last time; no frame holds (Q_l, P_l) while
         # Q_{l-1} forms, and Q_0 is never pulled
         return [_layer_pair(W, d1, ratio, Ts[-2], Ts.pop(), *next(sweep))

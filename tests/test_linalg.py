@@ -179,8 +179,8 @@ class TestDirectLapack:
     def test_match_scipy_qr_and_numpy_svd(self, shape):
         Y = np.random.default_rng(shape[0]).standard_normal(shape)
         Q, R = scipy.linalg.qr(Y, mode="economic")
-        for mine, oracle in zip(linalg._orthonormalize(Y), (Q, R)):
-            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(linalg._orthonormalize(Y), Q, rtol=0,
+                                   atol=1e-13)
         Ur, sr, Wt = np.linalg.svd(R.T)
         Vr = (Wt @ Q.T).T
         U, s, V = linalg._svd_of_transpose(Y)

@@ -3,12 +3,14 @@ weight gradients of every loss formulation (checked against finite
 differences and against cross-formulation identities)."""
 
 import json
+import tracemalloc
 from itertools import islice
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from derivop import netop
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
 from derivop.io import LoadError, load_arrays, save_arrays
@@ -246,15 +248,15 @@ class TestJacobian:
         B = rng.standard_normal((n, widths[0], 4))
         for a, b in ((None, None), (A, None), (None, B), (A, B)):
             T0 = None if b is None else np.ascontiguousarray(
-                b.transpose(1, 0, 2))
+                b.transpose(2, 0, 1))
             *_, T = _tangent_tape(layers, d1s, T0, FlopCounter())
-            fwd = T.transpose(1, 0, 2)
+            fwd = T.transpose(1, 2, 0)
             if a is not None:
                 fwd = a.transpose(0, 2, 1) @ fwd
             QL = None if a is None else np.ascontiguousarray(
-                a.transpose(1, 0, 2))
+                a.transpose(2, 0, 1))
             *_, (Q, _) = _adjoint_sweep(layers, d1s, QL, FlopCounter())
-            adj = Q.transpose(1, 2, 0)
+            adj = Q.transpose(1, 0, 2)
             if b is not None:
                 adj = adj @ b
             np.testing.assert_allclose(adj, fwd, rtol=1e-13, atol=1e-14)
@@ -761,11 +763,12 @@ class TestLazySweeps:
         layers, d1s, _, rng = self.sweep_inputs()
         cols = self.WIDTHS[0] if identity else 2
         T0 = None if identity else rng.standard_normal(
-            (self.WIDTHS[0], self.N, cols))
+            (cols, self.N, self.WIDTHS[0]))
         flops = FlopCounter()
         got = list(islice(_tangent_tape(layers, d1s, T0, flops), k))
         assert [T.shape for T in got] == \
-            [(w, self.N, cols) for w in self.WIDTHS[1:k + 1]]
+            [(cols, self.N, w) for w in self.WIDTHS[1:k + 1]]
+        assert all(T.flags.c_contiguous for T in got)
         assert flops.count == sum(
             tangent_item_flops(self.WIDTHS, self.N, cols, identity)[:k])
 
@@ -776,7 +779,7 @@ class TestLazySweeps:
         layers, d1s, _, rng = self.sweep_inputs()
         rows = self.WIDTHS[-1] if identity else 2
         QL = None if identity else rng.standard_normal(
-            (self.WIDTHS[-1], self.N, rows))
+            (rows, self.N, self.WIDTHS[-1]))
         flops = FlopCounter()
         got = list(islice(_adjoint_sweep(layers, d1s, QL, flops), k))
         widths = self.WIDTHS[::-1][:k]
@@ -784,21 +787,24 @@ class TestLazySweeps:
             if identity and l == 0:
                 assert Q is None and P is None
                 continue
-            assert Q.shape == (w, self.N, rows)
+            assert Q.shape == (rows, self.N, w)
+            assert Q.flags.c_contiguous
             if l == len(layers):
                 assert P is None
             else:
-                np.testing.assert_array_equal(P, Q * d1s[-1 - l].T[:, :, None])
+                assert P.flags.c_contiguous
+                np.testing.assert_array_equal(P, Q * d1s[-1 - l])
         assert flops.count == sum(
             adjoint_item_flops(self.WIDTHS, self.N, rows, identity)[:k])
 
-
-    # The gradient forms P_l in place over Q_l, so Q_L must never be a view
-    # of the caller's A.  With one sample, A's transposed view is contiguous
-    # (np.ascontiguousarray would not copy it).
+    # No sweep may write over its seed: the adjoint seed (rows, n, n_L) is a
+    # view of the caller's A, and with one column per sample the tangent
+    # seed (cols, n, n_0) is a view of B, since np.ascontiguousarray does not
+    # copy a contiguous transpose.
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2)],
-                             ids=["adjoint", "tangent"])
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (1, 3), (3, 1)],
+                             ids=["adjoint", "tangent", "adjoint-view",
+                                  "tangent-view"])
     def test_penalty_leaves_its_factors_unchanged(self, n, rows, cols):
         layers, d1s, ratios, rng = self.sweep_inputs(n)
         A = rng.standard_normal((n, self.WIDTHS[-1], rows))
@@ -808,6 +814,47 @@ class TestLazySweeps:
         pairs(rng.standard_normal(S.shape))
         np.testing.assert_array_equal(A, A0)
         np.testing.assert_array_equal(B, B0)
+
+    def test_kept_adjoint_sweep_lends_its_p(self, monkeypatch):
+        # With an identity Q_L (rows 3 < cols 5), the gradient reads each
+        # P_l that the kept sweep formed rather than forming it again
+        layers, d1s, ratios, rng = self.sweep_inputs()
+        yielded, received = [], []
+        sweep, layer_pair = netop._adjoint_sweep, netop._layer_pair
+
+        def recorded_sweep(*args):
+            for Q, P in sweep(*args):
+                yielded.append(P)
+                yield Q, P
+
+        def recorded_pair(*args):
+            received.append(args[-1])
+            return layer_pair(*args)
+
+        monkeypatch.setattr(netop, "_adjoint_sweep", recorded_sweep)
+        monkeypatch.setattr(netop, "_layer_pair", recorded_pair)
+        S, pairs = _penalty(layers, d1s, ratios, None, None, FlopCounter())
+        pairs(rng.standard_normal(S.shape))
+        *below, top = received  # layers 1..L-1, then L
+        assert top is None and len(below) == len(layers) - 1
+        assert all(P is Y for P, Y in zip(below, yielded[-2:0:-1]))
+
+    @pytest.mark.parametrize("widths", [(64,) * 7 + (16,), (16,) + (64,) * 7],
+                             ids=["adjoint", "tangent"])
+    def test_read_off_keeps_no_sweep_array(self, widths):
+        # A read-off passes no ratios, so the picked sweep keeps none of its
+        # (16, n, 64) arrays: the peak holds a few of them and the forward
+        # tape, where keeping one per layer would take 7 on top of the tape
+        model = make_generic(widths[0], widths[-1], widths[1:-1])
+        m = np.random.default_rng(24).standard_normal((64, widths[0]))
+        parametric_jacobian(model, m)
+        tracemalloc.start()
+        try:
+            parametric_jacobian(model, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * (16 * 64 * 64 * 8)
 
 
 class TestPersistence:
