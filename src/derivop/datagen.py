@@ -7,7 +7,8 @@ With the default rank d_Q the sketch covers the whole map, so
 solve; for smaller ranks the randomized range finder compresses it.
 
 Per-sample seeds derive from the run seed via a splitmix64 mix of the
-sample index, so generation is order-independent and reproducible.
+sample index, so generation is order-independent and reproducible, and
+so is the stacked Newton solve, whose rows keep their own solves' bits.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from . import io
 from .linalg import (CountingOperator, TruncatedJacobian, check_orthonormal,
                      dense_operator, randomized_svd)
 from .models import (
+    NewtonConvergenceError,
     ToyMap,
     jacobian_operator,
     observe,
@@ -93,23 +95,24 @@ class Dataset:
         )
 
     def subset(self, indices):
-        """The samples ``indices`` of this set, with the same flags."""
+        """The samples ``indices`` of this set, with the same flags; every
+        meta list named ``*_per_sample`` is sliced with them."""
         rows = {k: getattr(self, k)[indices]
                 for k in ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
                 if getattr(self, k) is not None}
-        meta, key = self.meta, "linearized_solves_per_sample"
+        meta = self.meta
         if meta is not None:
-            meta = dict(meta, n_samples=len(rows["m"]))
-            if key in meta:
-                meta[key] = np.asarray(meta[key])[indices].tolist()
+            meta = {k: np.asarray(v)[indices].tolist()
+                    if k.endswith("_per_sample") else v
+                    for k, v in meta.items()}
+            meta["n_samples"] = len(rows["m"])
         return replace(self, **rows, meta=meta)
 
 
-def _forward_with_jacobian(model, m):
+def _forward_with_jacobian(model, m, u):
     if isinstance(model, ToyMap):
         q, jac = toy_map(model, m)
         return q, dense_operator(jac)
-    u = solve_state(model, m)
     return observe(model, u), jacobian_operator(model, m, u)
 
 
@@ -119,9 +122,12 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
 
     ``rank`` defaults to d_Q.  ``model`` is an RDModel (with a PriorConfig)
     or a ToyMap (prior_cfg None draws standard-normal parameters).  The
-    metadata counts the Jacobian-action columns (linearized solves) per sample.
-    ``threads > 1`` gives the same bits but no speed-up: most of a sample's
-    time is spent in f2py LAPACK wrappers that hold the GIL (dpbtrs, dgesdd).
+    metadata counts each sample's linearized solves and Newton iterations.
+    The states are solved as one Newton stack, the Jacobians one by one.
+    ``threads`` splits the stack, one part per thread, for the same bits
+    but no speed-up: the f2py LAPACK wrappers hold the GIL.  The
+    :class:`GenerationError` names the lowest failing sample of the first
+    part, and stage, that fails.
     """
     if rank is None:
         rank = model.d_q
@@ -135,31 +141,39 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
     # The sketch cannot be wider than the map; shrink the padding if needed.
     oversample = min(oversample, min(model.d_m, model.d_q) - rank)
 
-    def one_sample(i):
-        rng = np.random.default_rng(sample_seed(seed, i))
-        m = rng.standard_normal(model.d_m) if prior_cfg is None \
-            else sample_prior(prior_cfg, rng)
-        svd_seed = int(rng.integers(1 << 63))
-        try:
-            q, op = _forward_with_jacobian(model, m)
-        except Exception as exc:  # noqa: BLE001 - re-tagged with the index
-            raise GenerationError(i, exc) from exc
-        counted = CountingOperator(op)
-        jac = randomized_svd(counted, rank, oversample=oversample,
-                             power_iters=power_iters, seed=svd_seed)
-        return m, q, jac, counted.n_apply + counted.n_apply_transpose
+    def stack(idx):
+        """Samples idx as (m, q, jac, linearized solves, Newton iterations)."""
+        rngs = [np.random.default_rng(sample_seed(seed, i)) for i in idx]
+        M = np.stack([g.standard_normal(model.d_m) if prior_cfg is None
+                      else sample_prior(prior_cfg, g) for g in rngs])
+        svd_seeds = [int(g.integers(1 << 63)) for g in rngs]
+        U, iters = [None] * len(M), [0] * len(M)
+        if not isinstance(model, ToyMap):
+            try:
+                U, history = solve_state(model, M, full_output=True)
+            except NewtonConvergenceError as exc:
+                raise GenerationError(idx[exc.row], exc) from exc
+            iters = [len(h) - 1 for h in history]
+        out = []
+        for i, m, u, it, svd_seed in zip(idx, M, U, iters, svd_seeds):
+            try:
+                q, op = _forward_with_jacobian(model, m, u)
+            except Exception as exc:  # noqa: BLE001 - re-tagged with the index
+                raise GenerationError(i, exc) from exc
+            counted = CountingOperator(op)
+            jac = randomized_svd(counted, rank, oversample=oversample,
+                                 power_iters=power_iters, seed=svd_seed)
+            out.append((m, q, jac, counted.n_apply + counted.n_apply_transpose,
+                        it))
+        return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_sample, range(n_samples)))
-    else:
-        results = [one_sample(i) for i in range(n_samples)]
-
-    m_all = np.stack([r[0] for r in results])
-    q_all = np.stack([r[1] for r in results])
-    jac_u = np.stack([r[2].U for r in results])
-    jac_s = np.stack([r[2].sigma for r in results])
-    jac_v = np.stack([r[2].V for r in results])
+    parts = [p.tolist() for p in np.array_split(range(n_samples), threads)
+             if len(p)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # The pool takes the later parts while this thread takes the first.
+        rest = pool.map(stack, parts[1:])
+        results = stack(parts[0]) + [r for s in rest for r in s]
+    m, q, jacs, solves, iters = zip(*results)
     meta = {
         "problem": model.config_dict(),
         "prior": None if prior_cfg is None else
@@ -171,10 +185,13 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
         "power_iters": power_iters,
         "n_samples": n_samples,
         "seed": seed,
-        "linearized_solves_per_sample": [r[3] for r in results],
+        "linearized_solves_per_sample": list(solves),
+        "newton_iterations_per_sample": list(iters),
     }
-    return Dataset(m=m_all, q=q_all, jac_u=jac_u, jac_sigma=jac_s,
-                   jac_v=jac_v, meta=meta)
+    return Dataset(m=np.stack(m), q=np.stack(q),
+                   jac_u=np.stack([j.U for j in jacs]),
+                   jac_sigma=np.stack([j.sigma for j in jacs]),
+                   jac_v=np.stack([j.V for j in jacs]), meta=meta)
 
 
 def save_dataset(ds, dirpath):

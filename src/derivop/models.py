@@ -9,7 +9,8 @@ u = 0 on the bottom edge, and zero flux on the sides.  Face diffusivities
 average e^m arithmetically from the two adjacent nodal values.
 
 Every linear solve uses a banded Cholesky factorization: the prior operator
-and dR/du without its Dirichlet rows are SPD with half-bandwidth n.
+and dR/du without its Dirichlet rows are SPD with half-bandwidth n, and
+both are kept as their band diagonals.  Newton solves a stack at once.
 """
 
 from dataclasses import dataclass
@@ -24,11 +25,13 @@ from .linalg import LinearOperator
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Newton failed to converge; carries the residual-norm history."""
+    """Newton failed to converge; carries the residual-norm history and
+    the failing row of the stack (0 for one parameter)."""
 
-    def __init__(self, message, history):
+    def __init__(self, message, history, row):
         super().__init__(message)
         self.history = list(history)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -73,103 +76,60 @@ class PriorConfig:
             raise ValueError("delta must be > 0 and gamma >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class _Stencil:
-    """Edges of the 5-point stencil and the CSC pattern of the Jacobians.
-
-    Edges (p, q) are slot-major (every node's first neighbour, then its
-    second, ... in the order (i-1, j), (i+1, j), (i, j-1), (i, j+1)), so an
-    unbuffered scatter-add sums each row in that order.  dR/du and dR/dm
-    share one pattern: the edges of the non-Dirichlet rows, then the
-    diagonal; ``order`` sorts these entries into CSC storage order.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    fixed: np.ndarray
-    ip: np.ndarray  # (ip, iq): the edges of the non-Dirichlet rows
-    iq: np.ndarray
-    order: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    def assemble(self, off, diag):
-        """CSC matrix with ``off`` on the interior edges and ``diag``."""
-        d = len(diag)
-        data = np.concatenate([off, diag])[self.order]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(d, d))
-
-
 @lru_cache(maxsize=8)
 def _stencil(grid):
+    """dR/dm's CSC pattern: the edges (ip, iq) of the non-Dirichlet rows,
+    grouped by neighbour (i-1, j), (i+1, j), (i, j-1), (i, j+1), so that an
+    unbuffered scatter-add sums each row in that order; then the diagonal.
+    ``order`` sorts these entries into CSC storage order."""
     n, d = grid.n, grid.num_nodes
-    i, j = np.divmod(np.arange(d), n)
-    valid = np.stack([i > 0, i < n - 1, j > 0, j < n - 1])
-    nbr = np.arange(d) + np.array([[-n], [n], [-1], [1]])
-    # Move each node's valid neighbours to the front, keeping their order:
-    # row k of the (4, d) arrays then holds every node's k-th neighbour.
-    lead = np.argsort(~valid, axis=0, kind="stable")
-    valid = np.take_along_axis(valid, lead, axis=0)
-    p, q = np.nonzero(valid)[1], np.take_along_axis(nbr, lead, axis=0)[valid]
-    fixed = (i == 0) | (i == n - 1)
-    ip, iq = p[~fixed[p]], q[~fixed[p]]
+    p = np.arange(n, d - n)
+    west, east = p[p % n > 0], p[p % n < n - 1]
+    ip = np.concatenate([p, p, west, east])
+    iq = np.concatenate([p - n, p + n, west - 1, east + 1])
     rows = np.concatenate([ip, np.arange(d)])
     cols = np.concatenate([iq, np.arange(d)])
     order = np.lexsort((rows, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=d))])
-    st = _Stencil(p=p, q=q, fixed=fixed, ip=ip, iq=iq, order=order,
-                  indices=rows[order].astype(np.int32),
-                  indptr=indptr.astype(np.int32))
+    st = SimpleNamespace(ip=ip, iq=iq, order=order,
+                         indices=rows[order].astype(np.int32),
+                         indptr=indptr.astype(np.int32))
     for a in vars(st).values():
         a.setflags(write=False)  # shared by every matrix built on this grid
     return st
 
 
-def _band_layout(indices, indptr, lo, hi, bw):
-    """Slot maps of a CSC 5-point pattern whose rows outside [lo, hi) are
-    identity rows: data slots ``src`` fill the flat positions ``dst`` of
-    LAPACK's upper band storage of the free block, and slots ``cslot`` hold
-    its coupling entries A[cp, cq] on the fixed columns."""
-    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    free = (indices >= lo) & (indices < hi)
-    src = np.flatnonzero(free & (indices <= cols) & (cols < hi))
-    dst = (bw + indices[src] - cols[src]) * (hi - lo) + cols[src] - lo
-    cslot = np.flatnonzero(free & ((cols < lo) | (cols >= hi)))
-    return SimpleNamespace(lo=lo, hi=hi, bw=bw, src=src, dst=dst, cslot=cslot,
-                           cp=indices[cslot], cq=cols[cslot])
-
-
-@lru_cache(maxsize=8)
-def _state_layout(grid):
-    """dR/du's layout: the Dirichlet rows are the first and last n."""
-    st, n = _stencil(grid), grid.n
-    return _band_layout(st.indices, st.indptr, n, grid.num_nodes - n, n)
-
-
-def _banded_cholesky(A, lay):
-    """Banded Cholesky of A's free block by LAPACK's dpbtrf, solves by
-    dpbtrs, both called directly.  The block must be SPD (only its upper
-    triangle is read); raises ``LinAlgError`` if it is not.  The
-    factor's ``solve(b, trans)`` solves A x = b ("N") or A^T x = b ("T")
-    for b of shape (d,) or (d, k) by block elimination of the identity
-    rows, so b may be nonzero on them.  On an n x n grid the factorization
-    costs O(n^4) flops, a solve O(n^3) per column."""
-    ab = np.zeros((lay.bw + 1, lay.hi - lay.lo))
-    ab.flat[lay.dst] = A.data[lay.src]
+def _banded_cholesky(J, dirichlet):
+    """Banded Cholesky, by LAPACK's dpbtrf on its upper band storage, of the
+    matrix with the band diagonals J = (diag, east, north) of
+    ``state_jacobian``; with ``dirichlet`` its first and last n rows are
+    identity rows, eliminated in ``solve``.  Raises ``LinAlgError`` unless
+    the rest is SPD.  ``solve(b, trans)`` solves A x = b ("N") or A^T x = b
+    ("T") by dpbtrs for b of shape (d,) or (d, k).  On an n x n grid the
+    factorization costs O(n^4) flops, a solve O(n^3) per column."""
+    diag, east, north = J
+    d, n = len(diag), len(diag) - len(north)
+    lo, hi = (n, d - n) if dirichlet else (0, d)
+    ab = np.zeros((n + 1, hi - lo), order="F")
+    ab[n] = diag[lo:hi]
+    ab[n - 1, 1:] = east[lo:hi - 1]
+    ab[0, n:] = north[lo:hi - n]
     cb, info = lapack.dpbtrf(ab, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor not positive definite")
-    coupling = A.data[lay.cslot]
+    south, top = north[:lo], north[hi - lo:hi]  # the Dirichlet coupling
 
     def solve(b, trans):
         x = np.array(b, dtype=float)
-        c = coupling.reshape(-1, *(1,) * (x.ndim - 1))
-        if trans == "N":  # b_free - A_fc b_fixed
-            np.subtract.at(x, lay.cp, c * x[lay.cq])
-        x[lay.lo:lay.hi] = lapack.dpbtrs(cb, x[lay.lo:lay.hi])[0]
-        if trans == "T":  # b_fixed - A_fc^T x_free
-            np.subtract.at(x, lay.cq, c * x[lay.cp])
+        xt = x.T  # rows last, for b of either shape
+        if lo and trans == "N":  # b_free - A_fc b_fixed
+            xt[..., lo:2 * lo] -= south * xt[..., :lo]
+            xt[..., hi - lo:hi] -= top * xt[..., hi:]
+        x[lo:hi] = lapack.dpbtrs(cb, x[lo:hi])[0]
+        if lo and trans == "T":  # b_fixed - A_fc^T x_free
+            xt[..., :lo] -= south * xt[..., lo:2 * lo]
+            xt[..., hi:] -= top * xt[..., hi - lo:hi]
         return x
 
     return SimpleNamespace(solve=solve)
@@ -182,22 +142,20 @@ spla = SimpleNamespace(splu=_banded_cholesky)
 
 @lru_cache(maxsize=8)
 def prior_operator(cfg):
-    """Sparse A = delta*I - gamma*Lap_h with the zero-flux boundary closure."""
-    st = _stencil(cfg.grid)
-    d = cfg.grid.num_nodes
-    c = cfg.gamma / cfg.grid.h**2
-    diag = np.full(d, cfg.delta)
-    np.add.at(diag, st.p, c)
-    rows = np.concatenate([st.p, np.arange(d)])
-    cols = np.concatenate([st.q, np.arange(d)])
-    vals = np.concatenate([np.full(len(st.p), -c), diag])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(d, d))
+    """A = delta*I - gamma*Lap_h with the zero-flux boundary closure, as its
+    band diagonals (diag, east, north) in ``state_jacobian``'s layout."""
+    n, c = cfg.grid.n, cfg.gamma / cfg.grid.h**2
+    diag = np.full((n, n), cfg.delta)
+    for nbr in np.s_[1:], np.s_[:-1], np.s_[:, 1:], np.s_[:, :-1]:
+        diag[nbr] += c  # once per neighbour: S, N, W, E
+    east = np.full((n, n), -c)
+    east[:, -1] = 0.0
+    return diag.ravel(), east.ravel()[:-1], np.full(n * (n - 1), -c)
 
 
 @lru_cache(maxsize=8)
 def _prior_factor(cfg):
-    A, d = prior_operator(cfg), cfg.grid.num_nodes
-    return spla.splu(A, _band_layout(A.indices, A.indptr, 0, d, cfg.grid.n))
+    return spla.splu(prior_operator(cfg), False)
 
 
 def sample_prior(cfg, rng):
@@ -292,29 +250,57 @@ class RDModel:
         }
 
 
-def _conductance(model, st, k):
-    """Face conductances 0.5 (k_p + k_q) / h^2 on the interior edges."""
-    return 0.5 * (k[st.ip] + k[st.iq]) / model.grid.h**2
+def _faces(model, m):
+    """Conductances 0.5 (e^m_p + e^m_q) / h^2 of m (d,) or a stack (N, d) on
+    the vertical faces (..., n-1, n) and, in the non-Dirichlet rows, the
+    horizontal faces (..., n-2, n-1)."""
+    n = model.grid.n
+    k = np.exp(m).reshape(*np.shape(m)[:-1], n, n)
+    return (0.5 * (k[..., :-1, :] + k[..., 1:, :]) / model.grid.h**2,
+            0.5 * (k[..., 1:-1, :-1] + k[..., 1:-1, 1:]) / model.grid.h**2)
 
 
-def residual(model, u, m):
-    """Discrete residual R(u, m); Dirichlet rows are u - g, g = 1 on top."""
-    st = _stencil(model.grid)
-    g = np.zeros(model.d_u)
-    g[-model.grid.n:] = 1.0
-    R = np.where(st.fixed, u - g, model.c_nl * u**3 - model.source)
-    w = _conductance(model, st, np.exp(m))
-    return R + np.bincount(st.ip, weights=w * (u[st.ip] - u[st.iq]),
-                           minlength=model.d_u)
+def residual(model, u, m, faces=None):
+    """Discrete residual R(u, m) of a state (d,) or a stack (N, d);
+    Dirichlet rows are u - g, g = 1 on top.  ``faces`` is
+    ``_faces(model, m)``, if already at hand."""
+    n = model.grid.n
+    wv, wh = _faces(model, m) if faces is None else faces
+    U = u.reshape(*u.shape[:-1], n, n)
+    C = U[..., 1:-1, :]
+    # Each row sums its fluxes in the stencil's slot order: S, N, W, E.
+    flux = wv[..., :-1, :] * (C - U[..., :-2, :]) \
+        + wv[..., 1:, :] * (C - U[..., 2:, :])
+    flux[..., 1:] += wh * (C[..., 1:] - C[..., :-1])
+    flux[..., :-1] += wh * (C[..., :-1] - C[..., 1:])
+    R = (model.c_nl * u**3 - model.source).reshape(U.shape)
+    R[..., 1:-1, :] += flux
+    R[..., 0, :] = U[..., 0, :]
+    R[..., -1, :] = U[..., -1, :] - 1.0
+    return R.reshape(u.shape)
 
 
-def state_jacobian(model, u, m):
-    """Sparse dR/du at (u, m)."""
-    st = _stencil(model.grid)
-    w = _conductance(model, st, np.exp(m))
-    diag = np.where(st.fixed, 1.0, 3.0 * model.c_nl * u**2)
-    np.add.at(diag, st.ip, w)
-    return st.assemble(-w, diag)
+def state_jacobian(model, u, m, faces=None):
+    """dR/du at (u, m) of a state (d,) or a stack (N, d) as band diagonals
+    (diag, east, north), (..., d), (..., d-1), (..., d-n): non-Dirichlet row
+    p holds diag[p], east[p-1] and east[p] (zero across a grid-row end) on
+    p -+ 1, north[p-n] and north[p] on p -+ n; the Dirichlet rows are
+    identity rows.  ``faces`` is ``_faces(model, m)``, if at hand."""
+    n = model.grid.n
+    wv, wh = _faces(model, m) if faces is None else faces
+    shape = (*u.shape[:-1], n, n)
+    diag = (3.0 * model.c_nl * u**2).reshape(shape)
+    # Each row adds its conductances in the stencil's slot order: S, N, W, E.
+    C = diag[..., 1:-1, :]
+    C += wv[..., :-1, :]
+    C += wv[..., 1:, :]
+    C[..., 1:] += wh
+    C[..., :-1] += wh
+    diag[..., 0, :] = diag[..., -1, :] = 1.0
+    east = np.zeros(shape)
+    east[..., 1:-1, :-1] = -wh
+    return (diag.reshape(u.shape), east.reshape(u.shape)[..., :-1],
+            -wv.reshape(*u.shape[:-1], -1))
 
 
 def parameter_jacobian(model, u, m):
@@ -324,72 +310,99 @@ def parameter_jacobian(model, u, m):
     k = np.exp(m)
     du = (u[p] - u[q]) / model.grid.h**2
     diag = np.bincount(p, weights=0.5 * k[p] * du, minlength=model.d_m)
-    return st.assemble(0.5 * k[q] * du, diag)
+    data = np.concatenate([0.5 * k[q] * du, diag])[st.order]
+    return sp.csc_matrix((data, st.indices, st.indptr), shape=(model.d_m,) * 2)
 
 
 @lru_cache(maxsize=8)
 def _start(model):
-    """Newton's default start as a map m -> u: the tangent predictor
-    u_0 - [dR/du]^{-1} dR/dm m at the m = 0 state u_0 (the Dirichlet rows of
-    dR/dm are zero), or the linear-in-y profile if u_0's solve fails."""
+    """Newton's default start as a map m -> u of m (d,) or a stack (N, d):
+    the tangent predictor u_0 - [dR/du]^{-1} dR/dm m at the m = 0 state u_0
+    (the Dirichlet rows of dR/dm are zero), or the linear-in-y profile if
+    u_0's solve fails."""
     m0, linear = np.zeros(model.d_m), model.grid.coords()[:, 1]
     try:
         u = solve_state(model, m0, u0=linear)
     except NewtonConvergenceError:
-        return lambda m: linear.copy()
-    lu = spla.splu(state_jacobian(model, u, m0), _state_layout(model.grid))
+        return lambda m: np.broadcast_to(linear, m.shape).copy()
+    lu = spla.splu(state_jacobian(model, u, m0), True)
     dRdm = parameter_jacobian(model, u, m0)
-    return lambda m: u - lu.solve(dRdm @ m, "N")
+    return lambda m: u - lu.solve(dRdm @ m.T, "N").T
 
 
-def solve_state(model, m, u0=None):
-    """Newton solve of R(u, m) = 0 with Armijo backtracking, from ``u0`` or
-    else from ``_start(model)(m)``, which is cached per model.
+def _norms(R):
+    """Each row's 2-norm by BLAS ddot, as ``np.linalg.norm`` takes it."""
+    return np.sqrt([r @ r for r in R])
 
-    Converges when ||R||_2 <= newton_tol * max(1, ||s||_2).  Raises
-    ``ValueError`` for a non-finite m, else :class:`NewtonConvergenceError`
-    with the residual history on any failure (non-finite residual, dR/du
-    not positive definite, stalled line search, iteration cap).
+
+def solve_state(model, m, u0=None, full_output=False):
+    """Newton solve of R(u, m) = 0 with Armijo backtracking for m (d,) or
+    each row of a stack (N, d), from ``u0`` or else ``_start(model)(m)``.
+
+    One loop evaluates the unfinished rows' residuals and trial steps
+    together, while each row keeps its own convergence test (||R||_2 <=
+    newton_tol * max(1, ||s||_2)) and step length and factors its own
+    dR/du, so it gets the bits of its own solve.  ``full_output`` adds the
+    residual-norm histories.  Raises ``ValueError`` for a non-finite m;
+    else, once every row has finished, :class:`NewtonConvergenceError` for
+    the lowest failing row (non-finite residual, dR/du not positive
+    definite, stalled line search, iteration cap).
     """
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError("m has non-finite entries")
-    u = _start(model)(m) if u0 is None else np.array(u0, dtype=float)
+    M = m.reshape(-1, model.d_m)
+    U = np.array(_start(model)(M) if u0 is None else np.reshape(u0, M.shape),
+                 dtype=float, order="C")
     tol = model.newton_tol * max(1.0, float(np.linalg.norm(model.source)))
     with np.errstate(over="ignore", invalid="ignore"):
-        R = residual(model, u, m)
-    rnorm = np.linalg.norm(R)
-    history = [rnorm]
-    if not np.isfinite(rnorm):
-        raise NewtonConvergenceError("non-finite residual", history)
-    for _ in range(model.newton_max_iters):
-        if rnorm <= tol:
-            return u
-        J = state_jacobian(model, u, m)
-        try:
-            step = spla.splu(J, _state_layout(model.grid)).solve(-R, "N")
-        except np.linalg.LinAlgError as exc:
-            raise NewtonConvergenceError(f"dR/du: {exc}", history) from exc
-        alpha = 1.0
-        while alpha > 1e-12:
-            u_try = u + alpha * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                R_try = residual(model, u_try, m)
-            if np.linalg.norm(R_try) <= (1.0 - 1e-4 * alpha) * rnorm:
+        faces = _faces(model, M)
+        R = residual(model, U, M, faces)
+        rnorm = _norms(R)
+        history = [[r] for r in rnorm]
+        errors = {k: ("non-finite residual", None)
+                  for k in np.flatnonzero(~np.isfinite(rnorm))}
+        for _ in range(model.newton_max_iters):
+            act = np.array([k for k in range(len(M))
+                            if k not in errors and rnorm[k] > tol], dtype=int)
+            if not len(act):
                 break
-            alpha *= 0.5
-        else:
-            raise NewtonConvergenceError("line search stalled", history)
-        u, R = u_try, R_try
-        rnorm = np.linalg.norm(R)
-        history.append(rnorm)
-    if rnorm <= tol:
-        return u
-    raise NewtonConvergenceError(
-        f"no convergence in {model.newton_max_iters} iterations "
-        f"(||R|| = {rnorm:.3e}, tol = {tol:.3e})",
-        history,
-    )
+            J = state_jacobian(model, U[act], M[act], [f[act] for f in faces])
+            step = np.zeros((len(act), model.d_u))
+            for i, k in enumerate(act):
+                try:
+                    lu = spla.splu([a[i] for a in J], True)
+                    step[i] = lu.solve(-R[k], "N")
+                except np.linalg.LinAlgError as exc:
+                    errors[k] = (f"dR/du: {exc}", exc)
+            # The rows still searching all try the same step length.
+            alpha, todo = 1.0, np.array([k not in errors for k in act])
+            while todo.any() and alpha > 1e-12:
+                ks = act[todo]
+                u_try = U[ks] + alpha * step[todo]
+                R_try = residual(model, u_try, M[ks], [f[ks] for f in faces])
+                r_try = _norms(R_try)
+                ok = r_try <= (1.0 - 1e-4 * alpha) * rnorm[ks]
+                U[ks[ok]], R[ks[ok]], rnorm[ks[ok]] = \
+                    u_try[ok], R_try[ok], r_try[ok]
+                for k in ks[ok]:
+                    history[k].append(rnorm[k])
+                todo[todo] = ~ok
+                alpha *= 0.5
+            errors.update((k, ("line search stalled", None))
+                          for k in act[todo])
+    for k in range(len(M)):
+        if k not in errors and rnorm[k] > tol:
+            errors[k] = (f"no convergence in {model.newton_max_iters} "
+                         f"iterations (||R|| = {rnorm[k]:.3e}, tol = "
+                         f"{tol:.3e})", None)
+    if errors:
+        k = min(errors)
+        raise NewtonConvergenceError(errors[k][0], history[k], int(k)) \
+            from errors[k][1]
+    if m.ndim == 1:
+        U, history = U[0], history[0]
+    return (U, history) if full_output else U
 
 
 def observe(model, u):
@@ -410,7 +423,7 @@ def jacobian_operator(model, m, u):
     """
     m = np.asarray(m, dtype=float)
     u = np.asarray(u, dtype=float)
-    lu = spla.splu(state_jacobian(model, u, m), _state_layout(model.grid))
+    lu = spla.splu(state_jacobian(model, u, m), True)
     dRdm = parameter_jacobian(model, u, m)
     obs = model.obs_nodes
 

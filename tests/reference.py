@@ -1,7 +1,8 @@
 """Tests-side references that no program code calls: the truncated-SVD
 Jacobian error bound, the full enumeration of the shipped
-matrix-subsampled (MS) penalty against its closed-form expectations, and a
-runner that hashes results under 1 and 2 BLAS threads.
+matrix-subsampled (MS) penalty against its closed-form expectations, a
+dense matrix built from band diagonals, and a runner that hashes
+results under 1 and 2 BLAS threads.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import numpy as np
 
 import derivop
 from derivop.datagen import Dataset
+from derivop.models import state_jacobian
 from derivop.netop import (
     MLPSpec,
     NetworkWeights,
@@ -104,6 +106,29 @@ def ms_enumeration_errors(model, m, U, sigma, V, k, rescale=False):
                             "dependent", rescale))
     return (abs(indep - expected_indep) / expected_indep,
             abs(dep - expected_dep) / expected_dep)
+
+
+def dense_band(band, dirichlet):
+    """The dense d x d matrix of band diagonals (diag, east, north), as
+    ``state_jacobian`` and ``prior_operator`` return them, written entry by
+    entry: row p holds diag[p], east on p -+ 1 and north on p -+ n, and with
+    ``dirichlet`` the first and last n rows are identity rows."""
+    diag, east, north = band
+    d = len(diag)
+    n, p = d - len(north), np.arange(d)
+    A = np.zeros((d, d))
+    A[p, p] = diag
+    A[p[:-1], p[:-1] + 1] = A[p[:-1] + 1, p[:-1]] = east
+    A[p[:-n], p[:-n] + n] = A[p[:-n] + n, p[:-n]] = north
+    if dirichlet:
+        A[:n] = A[-n:] = 0.0
+        A[p[:n], p[:n]] = A[p[-n:], p[-n:]] = 1.0
+    return A
+
+
+def dense_state_jacobian(model, u, m):
+    """dR/du at one state (u, m) as a dense matrix."""
+    return dense_band(state_jacobian(model, u, m), True)
 
 
 # Generates the 4-sample dataset ``ds`` of an RD problem (argv: grid nodes

@@ -125,15 +125,21 @@ class TestGenerate:
         prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
         bad = 3  # the parameter this sample draws makes Newton fail
         m_bad = sample_prior(prior, np.random.default_rng(sample_seed(5, bad)))
+        stacks = []
 
-        def failing_solve(model, m):
-            if np.array_equal(m, m_bad):
-                raise NewtonConvergenceError("forced failure", [1.0])
-            return solve_state(model, m)
+        def failing_solve(model, M, **kwargs):
+            stacks.append(len(M))
+            rows = [k for k, m in enumerate(M) if np.array_equal(m, m_bad)]
+            if rows:
+                raise NewtonConvergenceError("forced failure", [1.0], rows[0])
+            return solve_state(model, M, **kwargs)
 
         monkeypatch.setattr(datagen, "solve_state", failing_solve)
         with pytest.raises(GenerationError) as info:
             generate_dataset(model, prior, 6, rank=4, seed=5, threads=threads)
+        # Each pool thread solves one stack; under 2 threads the failing
+        # sample is row 0 of the second stack.
+        assert sorted(stacks) == [6 // threads] * threads
         assert info.value.index == bad
         assert isinstance(info.value.__cause__, NewtonConvergenceError)
 
@@ -144,6 +150,15 @@ class TestGenerate:
         expected = (r + over) * (2 * p + 2)
         counts = rd_ds.meta["linearized_solves_per_sample"]
         assert counts == [expected] * rd_ds.n_samples
+
+    def test_newton_iterations_recorded(self, rd_ds, toy_ds):
+        grid = Grid(9)
+        model = RDModel(grid=grid)
+        iterations = [len(solve_state(model, m, full_output=True)[1]) - 1
+                      for m in rd_ds.m]
+        assert rd_ds.meta["newton_iterations_per_sample"] == iterations
+        assert all(i >= 1 for i in iterations)
+        assert toy_ds.meta["newton_iterations_per_sample"] == [0] * 12
 
     def test_full_rank_is_exact_from_adjoint_solves(self):
         grid = Grid(9)
@@ -365,11 +380,20 @@ class TestReduce:
         assert sub.meta["n_samples"] == 3 and toy_ds.meta["n_samples"] == 12
 
     def test_subset_slices_solve_counts(self, toy_ds):
+        # Every *_per_sample list is sliced by one rule; other values pass.
         ds = replace(toy_ds, meta=dict(
-            toy_ds.meta, linearized_solves_per_sample=list(range(12))))
+            toy_ds.meta, linearized_solves_per_sample=list(range(12)),
+            newton_iterations_per_sample=list(range(20, 32))))
         sub = ds.subset(np.array([5, 1]))
         assert sub.meta["linearized_solves_per_sample"] == [5, 1]
+        assert sub.meta["newton_iterations_per_sample"] == [25, 21]
         assert len(ds.meta["linearized_solves_per_sample"]) == 12
+
+        def others(meta):
+            return {k: v for k, v in meta.items()
+                    if not k.endswith("_per_sample")}
+
+        assert others(sub.meta) == dict(others(ds.meta), n_samples=2)
 
     def test_set_without_factors_keeps_jac_r(self, toy_ds):
         pair = self._pair(np.eye(toy_ds.d_m)[:, :4], np.eye(toy_ds.d_q),

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+from reference import dense_band, dense_state_jacobian
 
 from derivop import models
 from derivop.models import (
@@ -73,7 +73,7 @@ class TestPrior:
 
     def test_empirical_covariance_matches_operator(self, prior9):
         # Monte Carlo covariance of m = A^{-1} xi should approach A^{-2}.
-        A = prior_operator(prior9).toarray()
+        A = dense_band(prior_operator(prior9), False)
         target = np.linalg.inv(A) @ np.linalg.inv(A)
         rng = np.random.default_rng(42)
         n = 10_000
@@ -102,9 +102,9 @@ class TestSolveState:
         u = solve_state(model, m)
         # one-shot oracle: solve J u = J u0 - R(u0) from any iterate
         u0 = np.zeros(model.d_m)
-        J = state_jacobian(model, u0, m)
+        J = dense_state_jacobian(model, u0, m)
         rhs = J @ u0 - residual(model, u0, m)
-        u_direct = spla.spsolve(J.tocsc(), rhs)
+        u_direct = np.linalg.solve(J, rhs)
         assert np.linalg.norm(u - u_direct) <= 1e-10 * np.linalg.norm(u_direct)
 
     def test_linear_case_single_newton_step(self, grid9):
@@ -225,9 +225,73 @@ class TestSolveState:
         assert len(info.value.history) == 1
 
 
+def mixed_stack(n):
+    """Four prior draws on an n x n grid and the starts that make their
+    Newton solves differ: rows 0 and 3 start from the predictor (2
+    iterations), row 1, shifted by -6 (weak diffusion), from zero inside
+    (its line search backtracks) and row 2 from the linear profile."""
+    grid = Grid(n)
+    model = RDModel(grid=grid)
+    prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+    M = np.stack([sample_prior(prior, np.random.default_rng(30 + k))
+                  for k in range(4)])
+    M[1] -= 6.0
+    U0 = models._start(model)(M)
+    U0[1, n:-n] = 0.0
+    U0[2] = grid.coords()[:, 1]
+    return model, M, U0
+
+
+class TestStackedSolve:
+    """A stack's rows get the bits of their own solves."""
+
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    def test_rows_bitwise_equal_to_their_own_solves(self, n, monkeypatch):
+        model, M, U0 = mixed_stack(n)
+        U, history = solve_state(model, M, u0=U0, full_output=True)
+        assert U.shape == M.shape
+        for k in range(len(M)):
+            u, h = solve_state(model, M[k], u0=U0[k], full_output=True)
+            np.testing.assert_array_equal(U[k], u)
+            assert history[k] == h
+        iterations = [len(h) - 1 for h in history]
+        assert iterations[0] == iterations[3] == 2 and iterations[2] == 3
+        assert iterations[1] > 3
+        # The default start of a stack is each row's own predictor start.
+        prior_rows = M[[0, 3]]
+        np.testing.assert_array_equal(solve_state(model, prior_rows),
+                                      [solve_state(model, m)
+                                       for m in prior_rows])
+        # Row 1's line search backtracks: more residuals than iterations.
+        residuals = []
+
+        def counted(*args, **kwargs):
+            residuals.append(args[1].shape)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(models, "residual", counted)
+        _, h = solve_state(model, M[1], u0=U0[1], full_output=True)
+        assert len(residuals) > len(h)
+
+    def test_failing_row_raises_its_own_history(self, grid9):
+        _, M, U0 = mixed_stack(9)
+        model = RDModel(grid=grid9, newton_max_iters=3)
+        M[3, 40] = 800.0  # e^m overflows: fails before the first step
+        with pytest.raises(NewtonConvergenceError) as info:
+            solve_state(model, M, u0=U0)
+        # Row 3 fails first, but the lowest failing row is the one reported.
+        assert info.value.row == 1
+        with pytest.raises(NewtonConvergenceError,
+                           match="no convergence in 3") as alone:
+            solve_state(model, M[1], u0=U0[1])
+        assert str(info.value) == str(alone.value)
+        assert info.value.history == alone.value.history
+        assert len(alone.value.history) == 4 and alone.value.row == 0
+
+
 class TestBandedCholesky:
-    """The factor helper against SuperLU's spsolve, with right-hand sides
-    that are nonzero on the Dirichlet rows."""
+    """The factor helper against a dense solve, with right-hand sides that
+    are nonzero on the Dirichlet rows."""
 
     @pytest.mark.parametrize("n", [9, 17, 33])
     def test_matches_sparse_solve(self, n):
@@ -236,18 +300,18 @@ class TestBandedCholesky:
         prior = PriorConfig(delta=1.3, gamma=0.37, grid=grid)
         rng = np.random.default_rng(n)
         u, m = rng.standard_normal((2, model.d_u))
-        J = state_jacobian(model, u, m)
-        A = prior_operator(prior)
-        cases = ((J, models._banded_cholesky(J, models._state_layout(grid))),
-                 (A, models._prior_factor(prior)))
+        cases = ((dense_state_jacobian(model, u, m), models._banded_cholesky(
+                      state_jacobian(model, u, m), True)),
+                 (dense_band(prior_operator(prior), False),
+                  models._prior_factor(prior)))
         for mat, factor in cases:
-            for trans, op in (("N", mat), ("T", mat.T.tocsc())):
+            for trans, op in (("N", mat), ("T", mat.T)):
                 for b in (rng.standard_normal(model.d_u),
                           rng.standard_normal((model.d_u, 3))):
                     b_in = b.copy()
                     x = factor.solve(b, trans)
                     np.testing.assert_array_equal(b, b_in)  # b is not mutated
-                    ref = spla.spsolve(op, b)
+                    ref = np.linalg.solve(op, b)
                     assert x.shape == b.shape
                     assert np.linalg.norm(x - ref) <= \
                         1e-12 * np.linalg.norm(ref)
@@ -261,10 +325,8 @@ class TestBandedCholesky:
         prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
         rng = np.random.default_rng(n)
         u, m = rng.standard_normal((2, model.d_u))
-        J, A = state_jacobian(model, u, m), prior_operator(prior)
-        cases = ((J, models._state_layout(grid)),
-                 (A, models._band_layout(A.indices, A.indptr, 0, model.d_u,
-                                         n)))
+        cases = ((state_jacobian(model, u, m), True),
+                 (prior_operator(prior), False))
         rhs = (rng.standard_normal(model.d_u),
                rng.standard_normal((model.d_u, 30)))
 
@@ -278,7 +340,7 @@ class TestBandedCholesky:
 
             monkeypatch.setattr(models, "lapack", SimpleNamespace(
                 dpbtrf=factor, dpbtrs=lambda cb, b: (dpbtrs(cb, b), 0)))
-            done = [models._banded_cholesky(M, lay) for M, lay in cases]
+            done = [models._banded_cholesky(*case) for case in cases]
             return factors + [f.solve(b, trans) for f in done
                               for trans in "NT" for b in rhs]
 
@@ -294,12 +356,10 @@ class TestBandedCholesky:
             np.testing.assert_array_equal(x, ref)
 
     def test_not_positive_definite_raises(self, grid9, prior9):
-        A = -prior_operator(prior9)
-        lay = models._band_layout(A.indices, A.indptr, 0, grid9.num_nodes,
-                                  grid9.n)
+        band = tuple(-a for a in prior_operator(prior9))
         with pytest.raises(np.linalg.LinAlgError,
                            match="1-th leading minor not positive definite"):
-            models._banded_cholesky(A, lay)
+            models._banded_cholesky(band, False)
 
 
 class TestObserve:
@@ -382,10 +442,11 @@ class TestAssembly:
             R, dRdu, dRdm, A = loop_assembly(model, u, m, prior)
             np.testing.assert_array_equal(residual(model, u, m), R)
             np.testing.assert_array_equal(
-                state_jacobian(model, u, m).toarray(), dRdu)
+                dense_state_jacobian(model, u, m), dRdu)
             np.testing.assert_array_equal(
                 parameter_jacobian(model, u, m).toarray(), dRdm)
-        np.testing.assert_array_equal(prior_operator(prior).toarray(), A)
+        np.testing.assert_array_equal(
+            dense_band(prior_operator(prior), False), A)
 
     @pytest.mark.parametrize("which", ["u", "m"])
     def test_jacobians_match_residual_differences(self, model9, prior9,
@@ -393,9 +454,8 @@ class TestAssembly:
         rng = np.random.default_rng(13)
         m = sample_prior(prior9, rng)
         u = solve_state(model9, m) + 0.1 * rng.standard_normal(model9.d_u)
-        jac, x = ((state_jacobian, u) if which == "u"
-                  else (parameter_jacobian, m))
-        J = jac(model9, u, m).toarray()
+        J, x = ((dense_state_jacobian(model9, u, m), u) if which == "u"
+                else (parameter_jacobian(model9, u, m).toarray(), m))
         eps = 1e-6
 
         def res(y):

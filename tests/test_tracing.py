@@ -40,10 +40,15 @@ def test_one_factorization_per_newton_step_and_operator():
     models.sample_prior(prior, np.random.default_rng(0))  # caches its factor
     models.solve_state(model, np.zeros(model.d_m))  # caches the predictor
     with tracing.Tracer().installed() as tracer:
-        datagen.generate_dataset(model, prior, 3, rank=4, seed=2)
+        ds = datagen.generate_dataset(model, prior, 3, rank=4, seed=2)
     table = tracing.SpanTable(tracer.spans)
-    newton = table.count("models.state_jacobian", parent="models.solve_state")
+    # One stacked solve; state_jacobian once per iteration of its loop.
+    assert table.count("models.solve_state") == 1
+    stacked = table.count("models.state_jacobian", parent="models.solve_state")
+    iterations = ds.meta["newton_iterations_per_sample"]
+    assert stacked == max(iterations) >= 1
     operators = table.count("models.jacobian_operator")
-    assert newton >= 3 and operators == 3
-    assert table.count("models.splu") == newton + operators
+    assert operators == 3
+    # Each row factors its own dR/du in every iteration it takes.
+    assert table.count("models.splu") == sum(iterations) + operators
     assert models.spla.splu is models._banded_cholesky  # patch undone
