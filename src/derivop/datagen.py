@@ -7,8 +7,7 @@ With the default rank d_Q the sketch covers the whole map, so
 solve; for smaller ranks the randomized range finder compresses it.
 
 Per-sample seeds derive from the run seed via a splitmix64 mix of the
-sample index, so generation is order-independent and reproducible, and
-so is the stacked Newton solve, whose rows keep their own solves' bits.
+sample index, so generation is order-independent and reproducible.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,6 @@ from . import io
 from .linalg import (CountingOperator, TruncatedJacobian, check_orthonormal,
                      dense_operator, randomized_svd)
 from .models import (
-    NewtonConvergenceError,
     ToyMap,
     jacobian_operator,
     observe,
@@ -95,25 +93,15 @@ class Dataset:
         )
 
     def subset(self, indices):
-        """The samples ``indices`` of this set, with the same flags; every
-        meta list named ``*_per_sample`` is sliced with them."""
+        """Samples ``indices``, same flags; ``*_per_sample`` meta sliced."""
         rows = {k: getattr(self, k)[indices]
                 for k in ("m", "q", "jac_u", "jac_sigma", "jac_v", "jac_r")
                 if getattr(self, k) is not None}
-        meta = self.meta
-        if meta is not None:
-            meta = {k: np.asarray(v)[indices].tolist()
-                    if k.endswith("_per_sample") else v
-                    for k, v in meta.items()}
-            meta["n_samples"] = len(rows["m"])
+        meta = None if self.meta is None else {
+            k: np.asarray(v)[indices].tolist()
+            if k.endswith("_per_sample") else v
+            for k, v in dict(self.meta, n_samples=len(rows["m"])).items()}
         return replace(self, **rows, meta=meta)
-
-
-def _forward_with_jacobian(model, m, u):
-    if isinstance(model, ToyMap):
-        q, jac = toy_map(model, m)
-        return q, dense_operator(jac)
-    return observe(model, u), jacobian_operator(model, m, u)
 
 
 def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
@@ -123,11 +111,9 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
     ``rank`` defaults to d_Q.  ``model`` is an RDModel (with a PriorConfig)
     or a ToyMap (prior_cfg None draws standard-normal parameters).  The
     metadata counts each sample's linearized solves and Newton iterations.
-    The states are solved as one Newton stack, the Jacobians one by one.
-    ``threads`` splits the stack, one part per thread, for the same bits
-    but no speed-up: the f2py LAPACK wrappers hold the GIL.  The
-    :class:`GenerationError` names the lowest failing sample of the first
-    part, and stage, that fails.
+    States are solved as one Newton stack, which ``threads`` splits for the
+    same bits but no speed-up (f2py's LAPACK wrappers hold the GIL); a
+    :class:`GenerationError` names the lowest failing sample.
     """
     if rank is None:
         rank = model.d_q
@@ -142,29 +128,31 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
     oversample = min(oversample, min(model.d_m, model.d_q) - rank)
 
     def stack(idx):
-        """Samples idx as (m, q, jac, linearized solves, Newton iterations)."""
+        """Samples idx; a failure is redone one by one to name the lowest."""
         rngs = [np.random.default_rng(sample_seed(seed, i)) for i in idx]
         M = np.stack([g.standard_normal(model.d_m) if prior_cfg is None
                       else sample_prior(prior_cfg, g) for g in rngs])
         svd_seeds = [int(g.integers(1 << 63)) for g in rngs]
-        U, iters = [None] * len(M), [0] * len(M)
-        if not isinstance(model, ToyMap):
-            try:
-                U, history = solve_state(model, M, full_output=True)
-            except NewtonConvergenceError as exc:
-                raise GenerationError(idx[exc.row], exc) from exc
-            iters = [len(h) - 1 for h in history]
-        out = []
-        for i, m, u, it, svd_seed in zip(idx, M, U, iters, svd_seeds):
-            try:
-                q, op = _forward_with_jacobian(model, m, u)
-            except Exception as exc:  # noqa: BLE001 - re-tagged with the index
-                raise GenerationError(i, exc) from exc
-            counted = CountingOperator(op)
-            jac = randomized_svd(counted, rank, oversample=oversample,
-                                 power_iters=power_iters, seed=svd_seed)
-            out.append((m, q, jac, counted.n_apply + counted.n_apply_transpose,
-                        it))
+        toy, out = isinstance(model, ToyMap), []
+        try:
+            U, history = ([None] * len(M), [[0]] * len(M)) if toy else \
+                solve_state(model, M, full_output=True)
+            for m, u, h, svd_seed in zip(M, U, history, svd_seeds):
+                if toy:
+                    q, jac = toy_map(model, m)
+                    op = dense_operator(jac)
+                else:
+                    q, op = observe(model, u), jacobian_operator(model, m, u)
+                counted = CountingOperator(op)
+                jac = randomized_svd(counted, rank, oversample=oversample,
+                                     power_iters=power_iters, seed=svd_seed)
+                out.append((m, q, jac, counted.n_apply
+                            + counted.n_apply_transpose, len(h) - 1))
+        except Exception as exc:  # noqa: BLE001 - re-tagged with the index
+            if len(idx) > 1:  # one at a time, the lowest failure raises
+                for i in idx:
+                    stack([i])
+            raise GenerationError(idx[0], exc) from exc
         return out
 
     parts = [p.tolist() for p in np.array_split(range(n_samples), threads)

@@ -8,9 +8,8 @@ The PDE is -div(e^m grad u) + c_nl * u^3 = s with u = 1 on the top edge,
 u = 0 on the bottom edge, and zero flux on the sides.  Face diffusivities
 average e^m arithmetically from the two adjacent nodal values.
 
-Every linear solve uses a banded Cholesky factorization: the prior operator
-and dR/du without its Dirichlet rows are SPD with half-bandwidth n, and
-both are kept as their band diagonals.  Newton solves a stack at once.
+Every linear solve uses a banded Cholesky factorization of band diagonals:
+the prior operator and dR/du without its Dirichlet rows are SPD, bandwidth n.
 """
 
 from dataclasses import dataclass
@@ -25,8 +24,7 @@ from .linalg import LinearOperator
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Newton failed to converge; carries the residual-norm history and
-    the failing row of the stack (0 for one parameter)."""
+    """Newton failed on stack row ``row``; carries its residual history."""
 
     def __init__(self, message, history, row):
         super().__init__(message)
@@ -78,9 +76,8 @@ class PriorConfig:
 
 @lru_cache(maxsize=8)
 def _stencil(grid):
-    """dR/dm's CSC pattern: the edges (ip, iq) of the non-Dirichlet rows,
-    grouped by neighbour (i-1, j), (i+1, j), (i, j-1), (i, j+1), so that an
-    unbuffered scatter-add sums each row in that order; then the diagonal.
+    """dR/dm's CSC pattern: the non-Dirichlet rows' edges (ip, iq) grouped
+    by neighbour (i-1, j), (i+1, j), (i, j-1), (i, j+1), then the diagonal;
     ``order`` sorts these entries into CSC storage order."""
     n, d = grid.n, grid.num_nodes
     p = np.arange(n, d - n)
@@ -100,13 +97,12 @@ def _stencil(grid):
 
 
 def _banded_cholesky(J, dirichlet):
-    """Banded Cholesky, by LAPACK's dpbtrf on its upper band storage, of the
-    matrix with the band diagonals J = (diag, east, north) of
-    ``state_jacobian``; with ``dirichlet`` its first and last n rows are
-    identity rows, eliminated in ``solve``.  Raises ``LinAlgError`` unless
-    the rest is SPD.  ``solve(b, trans)`` solves A x = b ("N") or A^T x = b
-    ("T") by dpbtrs for b of shape (d,) or (d, k).  On an n x n grid the
-    factorization costs O(n^4) flops, a solve O(n^3) per column."""
+    """Banded Cholesky by dpbtrf, on LAPACK's upper band storage, of the
+    matrix with band diagonals J = (diag, east, north) as ``state_jacobian``
+    returns; with ``dirichlet`` its first and last n rows are identity rows,
+    eliminated in ``solve``.  Raises ``LinAlgError`` unless the rest is SPD.
+    ``solve(b, trans)`` solves A x = b ("N") or A^T x = b ("T") by dpbtrs
+    for b (d,) or (d, k), O(n^3) flops per column; dpbtrf costs O(n^4)."""
     diag, east, north = J
     d, n = len(diag), len(diag) - len(north)
     lo, hi = (n, d - n) if dirichlet else (0, d)
@@ -251,21 +247,19 @@ class RDModel:
 
 
 def _faces(model, m):
-    """Conductances 0.5 (e^m_p + e^m_q) / h^2 of m (d,) or a stack (N, d) on
-    the vertical faces (..., n-1, n) and, in the non-Dirichlet rows, the
-    horizontal faces (..., n-2, n-1)."""
+    """Conductances 0.5 (e^m_p + e^m_q) / h^2 of m (d,) or (N, d) on the
+    vertical faces (..., n-1, n), horizontal ones (..., n-2, n-1) inside."""
     n = model.grid.n
     k = np.exp(m).reshape(*np.shape(m)[:-1], n, n)
     return (0.5 * (k[..., :-1, :] + k[..., 1:, :]) / model.grid.h**2,
             0.5 * (k[..., 1:-1, :-1] + k[..., 1:-1, 1:]) / model.grid.h**2)
 
 
-def residual(model, u, m, faces=None):
+def residual(model, u, m):
     """Discrete residual R(u, m) of a state (d,) or a stack (N, d);
-    Dirichlet rows are u - g, g = 1 on top.  ``faces`` is
-    ``_faces(model, m)``, if already at hand."""
+    Dirichlet rows are u - g, g = 1 on top."""
     n = model.grid.n
-    wv, wh = _faces(model, m) if faces is None else faces
+    wv, wh = _faces(model, m)
     U = u.reshape(*u.shape[:-1], n, n)
     C = U[..., 1:-1, :]
     # Each row sums its fluxes in the stencil's slot order: S, N, W, E.
@@ -280,14 +274,13 @@ def residual(model, u, m, faces=None):
     return R.reshape(u.shape)
 
 
-def state_jacobian(model, u, m, faces=None):
+def state_jacobian(model, u, m):
     """dR/du at (u, m) of a state (d,) or a stack (N, d) as band diagonals
     (diag, east, north), (..., d), (..., d-1), (..., d-n): non-Dirichlet row
     p holds diag[p], east[p-1] and east[p] (zero across a grid-row end) on
-    p -+ 1, north[p-n] and north[p] on p -+ n; the Dirichlet rows are
-    identity rows.  ``faces`` is ``_faces(model, m)``, if at hand."""
+    p -+ 1, north[p-n] and north[p] on p -+ n; Dirichlet rows are identity."""
     n = model.grid.n
-    wv, wh = _faces(model, m) if faces is None else faces
+    wv, wh = _faces(model, m)
     shape = (*u.shape[:-1], n, n)
     diag = (3.0 * model.c_nl * u**2).reshape(shape)
     # Each row adds its conductances in the stencil's slot order: S, N, W, E.
@@ -316,10 +309,9 @@ def parameter_jacobian(model, u, m):
 
 @lru_cache(maxsize=8)
 def _start(model):
-    """Newton's default start as a map m -> u of m (d,) or a stack (N, d):
-    the tangent predictor u_0 - [dR/du]^{-1} dR/dm m at the m = 0 state u_0
-    (the Dirichlet rows of dR/dm are zero), or the linear-in-y profile if
-    u_0's solve fails."""
+    """Newton's default start as a map of m (d,) or (N, d): the tangent
+    predictor u_0 - [dR/du]^{-1} dR/dm m at the m = 0 state u_0 (dR/dm has
+    zero Dirichlet rows), or the linear-in-y profile if u_0's solve fails."""
     m0, linear = np.zeros(model.d_m), model.grid.coords()[:, 1]
     try:
         u = solve_state(model, m0, u0=linear)
@@ -330,23 +322,17 @@ def _start(model):
     return lambda m: u - lu.solve(dRdm @ m.T, "N").T
 
 
-def _norms(R):
-    """Each row's 2-norm by BLAS ddot, as ``np.linalg.norm`` takes it."""
-    return np.sqrt([r @ r for r in R])
-
-
 def solve_state(model, m, u0=None, full_output=False):
     """Newton solve of R(u, m) = 0 with Armijo backtracking for m (d,) or
     each row of a stack (N, d), from ``u0`` or else ``_start(model)(m)``.
 
-    One loop evaluates the unfinished rows' residuals and trial steps
-    together, while each row keeps its own convergence test (||R||_2 <=
-    newton_tol * max(1, ||s||_2)) and step length and factors its own
-    dR/du, so it gets the bits of its own solve.  ``full_output`` adds the
-    residual-norm histories.  Raises ``ValueError`` for a non-finite m;
-    else, once every row has finished, :class:`NewtonConvergenceError` for
-    the lowest failing row (non-finite residual, dR/du not positive
-    definite, stalled line search, iteration cap).
+    Residuals and trial steps are evaluated for all unfinished rows at once;
+    each row keeps its own test ||R||_2 <= newton_tol * max(1, ||s||_2),
+    step length and dR/du factor, so it gets the bits of its own solve.
+    ``full_output`` adds the residual histories.  Raises ``ValueError`` for
+    a non-finite m, else :class:`NewtonConvergenceError` for the lowest
+    failing row (non-finite residual, dR/du not positive definite, stalled
+    line search, iteration cap).
     """
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
@@ -356,18 +342,18 @@ def solve_state(model, m, u0=None, full_output=False):
                  dtype=float, order="C")
     tol = model.newton_tol * max(1.0, float(np.linalg.norm(model.source)))
     with np.errstate(over="ignore", invalid="ignore"):
-        faces = _faces(model, M)
-        R = residual(model, U, M, faces)
-        rnorm = _norms(R)
+        R = residual(model, U, M)
+        # Row norms by ddot, as np.linalg.norm; norm(axis=1) changes bits.
+        rnorm = np.sqrt([r @ r for r in R])
         history = [[r] for r in rnorm]
         errors = {k: ("non-finite residual", None)
                   for k in np.flatnonzero(~np.isfinite(rnorm))}
-        for _ in range(model.newton_max_iters):
+        for it in range(model.newton_max_iters + 1):
             act = np.array([k for k in range(len(M))
                             if k not in errors and rnorm[k] > tol], dtype=int)
-            if not len(act):
+            if it == model.newton_max_iters or not len(act):
                 break
-            J = state_jacobian(model, U[act], M[act], [f[act] for f in faces])
+            J = state_jacobian(model, U[act], M[act])
             step = np.zeros((len(act), model.d_u))
             for i, k in enumerate(act):
                 try:
@@ -380,8 +366,8 @@ def solve_state(model, m, u0=None, full_output=False):
             while todo.any() and alpha > 1e-12:
                 ks = act[todo]
                 u_try = U[ks] + alpha * step[todo]
-                R_try = residual(model, u_try, M[ks], [f[ks] for f in faces])
-                r_try = _norms(R_try)
+                R_try = residual(model, u_try, M[ks])
+                r_try = np.sqrt([r @ r for r in R_try])
                 ok = r_try <= (1.0 - 1e-4 * alpha) * rnorm[ks]
                 U[ks[ok]], R[ks[ok]], rnorm[ks[ok]] = \
                     u_try[ok], R_try[ok], r_try[ok]
@@ -389,13 +375,9 @@ def solve_state(model, m, u0=None, full_output=False):
                     history[k].append(rnorm[k])
                 todo[todo] = ~ok
                 alpha *= 0.5
-            errors.update((k, ("line search stalled", None))
-                          for k in act[todo])
-    for k in range(len(M)):
-        if k not in errors and rnorm[k] > tol:
-            errors[k] = (f"no convergence in {model.newton_max_iters} "
-                         f"iterations (||R|| = {rnorm[k]:.3e}, tol = "
-                         f"{tol:.3e})", None)
+            errors |= {k: ("line search stalled", None) for k in act[todo]}
+    errors |= {k: (f"no convergence in {it} iterations (||R|| = "
+                   f"{rnorm[k]:.3e}, tol = {tol:.3e})", None) for k in act}
     if errors:
         k = min(errors)
         raise NewtonConvergenceError(errors[k][0], history[k], int(k)) \

@@ -118,30 +118,70 @@ class TestGenerate:
         assert len(one) == 10
         assert one == two
 
+    @staticmethod
+    def _force_failures(monkeypatch, prior, newton=(), jacobian=(),
+                        error=NewtonConvergenceError):
+        """Make solve_state raise ``error`` on a stack holding any of the
+        samples ``newton`` (seed 5), and jacobian_operator raise for the
+        samples ``jacobian``; returns the sizes of the solved stacks."""
+        def drawn(samples):
+            return [sample_prior(prior, np.random.default_rng(
+                sample_seed(5, i))) for i in samples]
+
+        bad_m, bad_op, stacks = drawn(newton), drawn(jacobian), []
+
+        def failing_solve(model, M, **kwargs):
+            stacks.append(len(M))
+            rows = [k for k, m in enumerate(M)
+                    if any(np.array_equal(m, b) for b in bad_m)]
+            if rows and error is NewtonConvergenceError:
+                raise error("forced failure", [1.0], rows[0])
+            if rows:
+                raise error("forced failure")
+            return solve_state(model, M, **kwargs)
+
+        def failing_operator(model, m, u):
+            if any(np.array_equal(m, b) for b in bad_op):
+                raise RuntimeError("forced operator failure")
+            return jacobian_operator(model, m, u)
+
+        monkeypatch.setattr(datagen, "solve_state", failing_solve)
+        monkeypatch.setattr(datagen, "jacobian_operator", failing_operator)
+        return stacks
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_newton_failure_names_its_sample(self, monkeypatch, threads):
         grid = Grid(9)
         model = RDModel(grid=grid)
         prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
         bad = 3  # the parameter this sample draws makes Newton fail
-        m_bad = sample_prior(prior, np.random.default_rng(sample_seed(5, bad)))
-        stacks = []
-
-        def failing_solve(model, M, **kwargs):
-            stacks.append(len(M))
-            rows = [k for k, m in enumerate(M) if np.array_equal(m, m_bad)]
-            if rows:
-                raise NewtonConvergenceError("forced failure", [1.0], rows[0])
-            return solve_state(model, M, **kwargs)
-
-        monkeypatch.setattr(datagen, "solve_state", failing_solve)
+        stacks = self._force_failures(monkeypatch, prior, newton=[bad])
         with pytest.raises(GenerationError) as info:
             generate_dataset(model, prior, 6, rank=4, seed=5, threads=threads)
-        # Each pool thread solves one stack; under 2 threads the failing
-        # sample is row 0 of the second stack.
-        assert sorted(stacks) == [6 // threads] * threads
+        # Each thread first solves its part as one stack; the failing stack
+        # is then redone one sample at a time.
+        assert sorted(s for s in stacks if s > 1) == [6 // threads] * threads
         assert info.value.index == bad
         assert isinstance(info.value.__cause__, NewtonConvergenceError)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("newton, jacobian, index, cause", [
+        ([5], [2], 2, RuntimeError),  # an earlier sample's Jacobian fails
+        ([4, 1], [], 1, NewtonConvergenceError),
+        ([4], [], 4, ValueError),  # a solve_state error without a row
+    ], ids=["jacobian-first", "two-newton", "untagged"])
+    def test_failure_names_lowest_sample_at_any_stage(
+            self, monkeypatch, threads, newton, jacobian, index, cause):
+        grid = Grid(9)
+        model = RDModel(grid=grid)
+        prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+        self._force_failures(monkeypatch, prior, newton, jacobian,
+                             error=cause if cause is ValueError
+                             else NewtonConvergenceError)
+        with pytest.raises(GenerationError) as info:
+            generate_dataset(model, prior, 6, rank=4, seed=5, threads=threads)
+        assert info.value.index == index
+        assert isinstance(info.value.__cause__, cause)
 
     def test_offline_solve_count_formula(self, rd_ds):
         # rank + oversample probes, each touched twice per power round

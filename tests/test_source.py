@@ -20,7 +20,7 @@ ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "scipy", "derivop"}
 # Parameters with a default in src/derivop signatures, dataclass fields with
 # a default, and CLI options with a default.  A change that adds or removes
 # a knob updates this count.
-KNOBS = 117
+KNOBS = 115
 
 
 def unused_imports(source):
