@@ -142,9 +142,13 @@ def h1_seminorm_accuracy(model, test_ds):
 
 
 def noise_std(test_ds, noise_pct=0.01):
-    """1%-of-signal noise scale: pct * RMS over the test set of |q|/sqrt(d_Q)."""
+    """1%-of-signal noise scale: pct * RMS over the test set of |q|/sqrt(d_Q).
+    Raises ValueError unless the scale is finite."""
     rms = float(np.sqrt(np.mean(np.sum(test_ds.q**2, axis=1) / test_ds.d_q)))
-    return noise_pct * rms
+    std = noise_pct * rms
+    if not np.isfinite(std):
+        raise ValueError(f"noise scale must be finite, got {std}")
+    return std
 
 
 def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):

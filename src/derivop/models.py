@@ -10,10 +10,11 @@ average e^m arithmetically from the two adjacent nodal values.
 
 Every linear solve uses a banded Cholesky factorization of band diagonals:
 the prior operator and dR/du without its Dirichlet rows are SPD, bandwidth n.
+dR/dm acts by scipy DIA products with the stencil's five diagonals.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,28 +73,6 @@ class PriorConfig:
     def __post_init__(self):
         if self.delta <= 0 or self.gamma < 0:
             raise ValueError("delta must be > 0 and gamma >= 0")
-
-
-@lru_cache(maxsize=8)
-def _stencil(grid):
-    """dR/dm's CSC pattern: the non-Dirichlet rows' edges (ip, iq) grouped
-    by neighbour (i-1, j), (i+1, j), (i, j-1), (i, j+1), then the diagonal;
-    ``order`` sorts these entries into CSC storage order."""
-    n, d = grid.n, grid.num_nodes
-    p = np.arange(n, d - n)
-    west, east = p[p % n > 0], p[p % n < n - 1]
-    ip = np.concatenate([p, p, west, east])
-    iq = np.concatenate([p - n, p + n, west - 1, east + 1])
-    rows = np.concatenate([ip, np.arange(d)])
-    cols = np.concatenate([iq, np.arange(d)])
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=d))])
-    st = SimpleNamespace(ip=ip, iq=iq, order=order,
-                         indices=rows[order].astype(np.int32),
-                         indptr=indptr.astype(np.int32))
-    for a in vars(st).values():
-        a.setflags(write=False)  # shared by every matrix built on this grid
-    return st
 
 
 def _banded_cholesky(J, dirichlet):
@@ -297,14 +276,34 @@ def state_jacobian(model, u, m):
 
 
 def parameter_jacobian(model, u, m):
-    """Sparse dR/dm at (u, m); Dirichlet rows are zero."""
-    st = _stencil(model.grid)
-    p, q = st.ip, st.iq
-    k = np.exp(m)
-    du = (u[p] - u[q]) / model.grid.h**2
-    diag = np.bincount(p, weights=0.5 * k[p] * du, minlength=model.d_m)
-    data = np.concatenate([0.5 * k[q] * du, diag])[st.order]
-    return sp.csc_matrix((data, st.indices, st.indptr), shape=(model.d_m,) * 2)
+    """dR/dm at (u, m) as a :class:`LinearOperator`; Dirichlet rows are zero.
+
+    Row p holds e_pq = 0.5 e^{m_q} (u_p - u_q) / h^2 on neighbour q and the
+    sum of -e_qp over S, N, W, E on its diagonal.  Both actions are DIA
+    products, which sum each entry by increasing index as CSC ones do."""
+    n, d, h2 = model.grid.n, model.d_m, model.grid.h**2
+    k, U = 0.5 * np.exp(m).reshape(n, n), u.reshape(n, n)
+    rows = np.zeros((5, n, n))
+    N, E, C, W, S = rows[:, 1:-1]
+    du = (U[1:] - U[:-1]) / h2  # up each vertical face
+    lo, hi = k[:-1] * du, k[1:] * du
+    S[:], N[:] = lo[:-1], -hi[1:]
+    np.subtract(hi[:-1], lo[1:], out=C)
+    du = (U[1:-1, 1:] - U[1:-1, :-1]) / h2  # east across each inner face
+    lo, hi = k[1:-1, :-1] * du, k[1:-1, 1:] * du
+    W[:, 1:], E[:, :-1] = lo, -hi
+    C[:, 1:] += hi
+    C[:, :-1] -= lo
+    # The rows are the transpose's diagonals.  The forward ones, built on
+    # the first forward action, run them reversed and shifted to DIA's entry
+    # (j - o, j) at column j; np.roll wraps only zeros round.
+    rows, offsets = rows.reshape(5, d), (-n, -1, 0, 1, n)
+    transpose = sp.dia_array((rows, offsets), shape=(d, d))
+    forward = cache(lambda: sp.dia_array(
+        ([np.roll(r, o) for r, o in zip(rows[::-1], offsets)], offsets),
+        shape=(d, d)))
+    return LinearOperator(d, d, lambda v: forward() @ v,
+                          lambda w: transpose @ w)
 
 
 @lru_cache(maxsize=8)
@@ -319,7 +318,7 @@ def _start(model):
         return lambda m: np.broadcast_to(linear, m.shape).copy()
     lu = spla.splu(state_jacobian(model, u, m0), True)
     dRdm = parameter_jacobian(model, u, m0)
-    return lambda m: u - lu.solve(dRdm @ m.T, "N").T
+    return lambda m: u - lu.solve(dRdm.apply(m.T), "N").T
 
 
 def solve_state(model, m, u0=None, full_output=False):
@@ -410,20 +409,15 @@ def jacobian_operator(model, m, u):
     obs = model.obs_nodes
 
     def apply(v):
-        return -lu.solve(dRdm @ v, "N")[obs]
+        return -lu.solve(dRdm.apply(v), "N")[obs]
 
     def apply_transpose(w):
         rhs = np.zeros((model.d_u, *np.shape(w)[1:]))
         # accumulate: coarse grids may map several sensors to one node
         np.add.at(rhs, obs, w)
-        return -(dRdm.T @ lu.solve(rhs, "T"))
+        return -dRdm.apply_transpose(lu.solve(rhs, "T"))
 
-    return LinearOperator(
-        nrows=model.d_q,
-        ncols=model.d_m,
-        apply=apply,
-        apply_transpose=apply_transpose,
-    )
+    return LinearOperator(model.d_q, model.d_m, apply, apply_transpose)
 
 
 TOY_MAP_SEED = 714025

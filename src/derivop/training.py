@@ -35,8 +35,8 @@ class LossConfig:
     def __post_init__(self):
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.h1_weight < 0:
-            raise ValueError("h1_weight must be >= 0")
+        if not (np.isfinite(self.h1_weight) and self.h1_weight >= 0):
+            raise ValueError("h1_weight must be finite and >= 0")
         if self.ms_mode not in ("dependent", "independent"):
             raise ValueError(f"unknown ms_mode {self.ms_mode!r}")
         if self.ms_redraw not in ("batch", "epoch"):

@@ -1,8 +1,9 @@
 """Tests-side references that no program code calls: the truncated-SVD
 Jacobian error bound, the full enumeration of the shipped
 matrix-subsampled (MS) penalty against its closed-form expectations, a
-dense matrix built from band diagonals, and a runner that hashes
-results under 1 and 2 BLAS threads.
+dense matrix built from band diagonals, a runner that hashes results
+under 1 and 2 BLAS threads, and the random bases and nets several test
+modules build.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import derivop
+from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset
 from derivop.models import state_jacobian
 from derivop.netop import (
@@ -25,6 +27,32 @@ from derivop.netop import (
     loss_and_grad,
 )
 from derivop.training import LossConfig
+
+
+def random_orthonormal(n, k, rng):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return Q
+
+
+def make_generic(d_m, d_q, hidden, seed=0):
+    spec = MLPSpec.dense((d_m, *hidden, d_q), init_seed=seed)
+    return OperatorModel(kind="generic", spec=spec,
+                         weights=NetworkWeights.init(spec))
+
+
+def make_reduced(d_m, d_q, r_in, r_out, hidden, rng, seed=0):
+    psi = random_orthonormal(d_m, r_in, rng)
+    phi = random_orthonormal(d_q, r_out, rng)
+    bases = ReducedBasisPair(psi=psi, phi=phi, b=rng.standard_normal(d_q))
+    spec = MLPSpec.dense((r_in, *hidden, r_out), init_seed=seed)
+    return OperatorModel(kind="reduced_basis", spec=spec,
+                         weights=NetworkWeights.init(spec), bases=bases)
+
+
+def weights_of(spec, layers):
+    """NetworkWeights whose flat vector concatenates per-layer (W, b)."""
+    return NetworkWeights(spec, np.concatenate(
+        [np.ravel(a) for pair in layers for a in pair]))
 
 
 def truncation_error_bound(jac_true, jac, model_jac):

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 from reference import (
     criterion_4_case,
+    make_generic,
+    make_reduced,
     ms_enumeration_errors,
+    random_orthonormal,
     truncation_error_bound,
+    weights_of,
 )
 
 from derivop.bases import ReducedBasisPair
@@ -50,32 +54,6 @@ def _report(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"\n[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def random_orthonormal(n, k, rng):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return Q
-
-
-def make_generic(d_m, d_q, hidden, seed=0):
-    spec = MLPSpec.dense((d_m, *hidden, d_q), init_seed=seed)
-    return OperatorModel(kind="generic", spec=spec,
-                         weights=NetworkWeights.init(spec))
-
-
-def make_reduced(d_m, d_q, r_in, r_out, hidden, rng, seed=0):
-    psi = random_orthonormal(d_m, r_in, rng)
-    phi = random_orthonormal(d_q, r_out, rng)
-    bases = ReducedBasisPair(psi=psi, phi=phi, b=rng.standard_normal(d_q))
-    spec = MLPSpec.dense((r_in, *hidden, r_out), init_seed=seed)
-    return OperatorModel(kind="reduced_basis", spec=spec,
-                         weights=NetworkWeights.init(spec), bases=bases)
-
-
-def weights_of(spec, layers):
-    """NetworkWeights whose flat vector concatenates per-layer (W, b)."""
-    return NetworkWeights(spec, np.concatenate(
-        [np.ravel(a) for pair in layers for a in pair]))
 
 
 def random_factor_batch(d_m, d_q, r, n, rng, jac_r_dims=None, latent=False):

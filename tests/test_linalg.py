@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from reference import random_orthonormal
 
 from derivop import linalg
 from derivop.linalg import (
@@ -14,11 +15,6 @@ from derivop.linalg import (
     randomized_svd,
     symmetric_eig_topk,
 )
-
-
-def random_orthonormal(n, k, rng):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return Q
 
 
 def random_low_rank(nrows, ncols, rank, rng, scale=None):

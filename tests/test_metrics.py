@@ -611,6 +611,21 @@ class TestEvaluate:
         report = evaluate(model, bare, metrics=("l2",))
         assert report.accuracies == {"l2": l2_accuracy(model, ds17)[0]}
 
+    @pytest.mark.parametrize("pct", [float("nan"), float("inf")])
+    def test_non_finite_noise_scale_rejected(self, toy_ds, net_model, pct,
+                                             monkeypatch):
+        # raised before any metric runs, also when only l2 would run and
+        # the report would record the scale
+        def run(*args, **kwargs):
+            raise AssertionError("a metric ran")
+
+        for name in ("model_outputs", "l2_accuracy", "h1_seminorm_accuracy",
+                     "gradient_accuracy", "gauss_newton_accuracies"):
+            monkeypatch.setattr(metrics, name, run)
+        for selected in (("l2",), metrics.METRICS):
+            with pytest.raises(ValueError, match="noise scale"):
+                evaluate(net_model, toy_ds, metrics=selected, noise_pct=pct)
+
     def test_nonfinite_accuracy_is_not_saved(self, tmp_path):
         report = EvalReport(accuracies={"l2": float("nan")})
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from reference import dense_band, dense_state_jacobian
+from scipy import sparse
 
 from derivop import models
 from derivop.models import (
@@ -437,14 +438,22 @@ class TestAssembly:
         model = RDModel(grid=grid, c_nl=1.5, obs_nodes=[grid.node(1, 1)])
         prior = PriorConfig(delta=1.3, gamma=0.37, grid=grid)
         rng = np.random.default_rng(n)
+        d = model.d_m
         for _ in range(3):
             u, m = rng.standard_normal((2, model.d_u))
             R, dRdu, dRdm, A = loop_assembly(model, u, m, prior)
             np.testing.assert_array_equal(residual(model, u, m), R)
             np.testing.assert_array_equal(
                 dense_state_jacobian(model, u, m), dRdu)
-            np.testing.assert_array_equal(
-                parameter_jacobian(model, u, m).toarray(), dRdm)
+            op = parameter_jacobian(model, u, m)
+            np.testing.assert_array_equal(op.apply(np.eye(d)), dRdm)
+            # Both actions sum each entry in a CSC product's order.
+            csc = sparse.csc_array(dRdm)
+            X = rng.standard_normal((d, 7))
+            for x in (X[:, 0], X, np.asfortranarray(X)):
+                np.testing.assert_array_equal(op.apply(x), csc @ x)
+                np.testing.assert_array_equal(op.apply_transpose(x),
+                                              csc.T @ x)
         np.testing.assert_array_equal(
             dense_band(prior_operator(prior), False), A)
 
@@ -454,8 +463,8 @@ class TestAssembly:
         rng = np.random.default_rng(13)
         m = sample_prior(prior9, rng)
         u = solve_state(model9, m) + 0.1 * rng.standard_normal(model9.d_u)
-        J, x = ((dense_state_jacobian(model9, u, m), u) if which == "u"
-                else (parameter_jacobian(model9, u, m).toarray(), m))
+        J, x = ((dense_state_jacobian(model9, u, m), u) if which == "u" else
+                (parameter_jacobian(model9, u, m).apply(np.eye(len(m))), m))
         eps = 1e-6
 
         def res(y):

@@ -8,6 +8,12 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from reference import (
+    make_generic,
+    make_reduced,
+    random_orthonormal,
+    weights_of,
+)
 from scipy.special import expit
 
 from derivop import netop
@@ -35,32 +41,6 @@ from derivop.netop import (
     save_model,
 )
 from derivop.training import LossConfig
-
-
-def random_orthonormal(n, k, rng):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return Q
-
-
-def make_reduced(d_m, d_q, r_in, r_out, hidden, rng, seed=0):
-    psi = random_orthonormal(d_m, r_in, rng)
-    phi = random_orthonormal(d_q, r_out, rng)
-    bases = ReducedBasisPair(psi=psi, phi=phi, b=rng.standard_normal(d_q))
-    spec = MLPSpec.dense((r_in, *hidden, r_out), init_seed=seed)
-    return OperatorModel(kind="reduced_basis", spec=spec,
-                         weights=NetworkWeights.init(spec), bases=bases)
-
-
-def weights_of(spec, layers):
-    """NetworkWeights whose flat vector concatenates per-layer (W, b)."""
-    return NetworkWeights(spec, np.concatenate(
-        [np.ravel(a) for pair in layers for a in pair]))
-
-
-def make_generic(d_m, d_q, hidden, seed=0):
-    spec = MLPSpec.dense((d_m, *hidden, d_q), init_seed=seed)
-    return OperatorModel(kind="generic", spec=spec,
-                         weights=NetworkWeights.init(spec))
 
 
 def batch_from_model(model, n, rng, exact=True, rank=None):

@@ -97,6 +97,14 @@ def test_no_sparse_lu(path):
         path.read_text(encoding="utf-8"))
 
 
+def test_sparse_format_stays_in_models():
+    """Only ``models`` builds scipy sparse arrays (dR/dm's DIA products)."""
+    importers = {path.name for path in SRC.glob("*.py")
+                 if any(name.split(".")[:2] == ["scipy", "sparse"] for name in
+                        imported_modules(path.read_text(encoding="utf-8")))}
+    assert importers == {"models.py"}
+
+
 def defined_names(source):
     """Functions and classes defined anywhere in a module, dunders excluded."""
     return {node.name for node in ast.walk(ast.parse(source))

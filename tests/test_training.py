@@ -9,6 +9,7 @@ from reference import (
     fitted_sample,
     ms_enumeration_errors,
     ms_losses,
+    random_orthonormal,
 )
 
 from derivop import netop, training
@@ -32,11 +33,6 @@ from derivop.training import (
 )
 
 
-def random_orthonormal(n, k, rng):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return Q
-
-
 @pytest.fixture(scope="module")
 def toy_ds():
     return generate_dataset(ToyMap.default(), None, 64, rank=5, seed=2)
@@ -48,6 +44,9 @@ class TestLossConfig:
             LossConfig(variant="h2")
         with pytest.raises(ValueError):
             LossConfig(variant="l2", h1_weight=-1.0)
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="h1_weight"):
+                LossConfig(variant="h1_full", h1_weight=weight)
         with pytest.raises(ValueError):
             LossConfig(variant="h1_truncated_ms")  # k missing
         with pytest.raises(ValueError):
