@@ -33,7 +33,6 @@ def build_parser():
     gen.add_argument("--oversample", type=int, default=10)
     gen.add_argument("--power-iters", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--threads", type=int, default=1)
     gen.add_argument("--out", required=True)
 
     bas = sub.add_parser("bases", help="compute reduced bases from a dataset")
@@ -95,8 +94,7 @@ def cmd_generate(args):
         prior = PriorConfig(delta=args.delta, gamma=args.gamma, grid=grid)
     ds = datagen.generate_dataset(
         model, prior, args.n, rank=args.rank, seed=args.seed,
-        oversample=args.oversample, power_iters=args.power_iters,
-        threads=args.threads)
+        oversample=args.oversample, power_iters=args.power_iters)
     datagen.save_dataset(ds, args.out)
     print(f"wrote dataset: N={ds.n_samples} d_M={ds.d_m} d_Q={ds.d_q} "
           f"r={ds.rank} -> {args.out}")

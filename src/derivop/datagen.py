@@ -122,8 +122,9 @@ def generate_dataset(model, prior_cfg, n_samples, rank=None, seed=0,
                          f"{model.d_q} x {model.d_m}")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    if threads < 1 or oversample < 0 or power_iters < 0:  # before any solve
+        raise ValueError(f"need threads >= 1, oversample >= 0 and power_iters"
+                         f" >= 0, got {threads}, {oversample}, {power_iters}")
     # The sketch cannot be wider than the map; shrink the padding if needed.
     oversample = min(oversample, min(model.d_m, model.d_q) - rank)
 

@@ -8,10 +8,10 @@ when every sample has zero norm.  A metric reads a model only through a
 ModelOutputs record of its predictions and stacked Jacobians on the test
 set, which ``model_outputs`` builds in one pass (``evaluate`` builds it once
 for all metrics); every metric is batched array algebra over the record.
-A record's Jacobians are latent in a basis pair, a reduced-basis net's own
-and a generic net's factored through its first layer, and the residuals are
-expanded through the stored SVD factors: no net forms a d_Q x d_M matrix.
-Dense Jacobians form a record in the identity pair.
+A record's Jacobians are the latent ones of the net's equivalent
+reduced-basis net, and the residuals are expanded through the stored SVD
+factors: no net forms a d_Q x d_M matrix.  Dense Jacobians form a record
+in the identity pair.
 """
 
 import csv
@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import qr
 
-from .bases import ReducedBasisPair
 from .datagen import project_factors
-from .netop import forward, parametric_jacobian, preactivation_jacobian
+from .netop import as_reduced_basis, forward, parametric_jacobian
 
 # Test rows per block: a net's Jacobian sweep runs one block at a time, so
 # its transient memory stays bounded.
@@ -62,9 +60,9 @@ class EvalReport:
 class ModelOutputs:
     """What the metrics read of a model on a test set: ``preds`` (n, d_Q)
     and ``jac``, the latent (n, r_Q, r_M) Jacobians in the ``bases`` pair
-    (a generic net's factored through W_1; dense ones in the identity
-    pair), with ``projected = project_factors(test_ds, bases)``.  Both
-    ``bases`` and ``projected`` are always set."""
+    (a generic net's factored through the QR of W_1; dense ones in the
+    identity pair), with ``projected = project_factors(test_ds, bases)``.
+    Both ``bases`` and ``projected`` are always set."""
 
     preds: np.ndarray
     jac: np.ndarray
@@ -74,13 +72,10 @@ class ModelOutputs:
 
 def model_outputs(model, test_ds):
     """The ModelOutputs of an OperatorModel on ``test_ds`` (a ModelOutputs
-    comes back unchanged), one block of rows at a time.  A reduced-basis
-    net's Jacobians are its latent ``parametric_jacobian``.  A generic
-    net's factor through its first layer: with W_1^T = Q R,
-    J = K W_1 = (K R^T) Q^T for K from ``preactivation_jacobian``, so it
-    keeps K R^T, d_Q x min(n_1, d_M), in the pair (Q, I, 0).  The
-    Jacobian metrics read the stored SVD factors, so a set without them
-    raises ValueError."""
+    comes back unchanged): its own ``forward`` and, one block of rows at a
+    time, the ``parametric_jacobian`` of its ``as_reduced_basis`` net, in
+    that net's pair.  The Jacobian metrics read the stored SVD factors, so
+    a set without them raises ValueError."""
     missing = [f for f in ("jac_u", "jac_sigma", "jac_v")
                if getattr(test_ds, f) is None]
     if missing:
@@ -88,18 +83,14 @@ def model_outputs(model, test_ds):
                          f"factors; the set lacks {', '.join(missing)}")
     if isinstance(model, ModelOutputs):
         return model
-    bases, R = model.bases, None
-    if model.kind != "reduced_basis":
-        Q, R = qr(model.weights.layers()[0][0].T, mode="economic")
-        bases = ReducedBasisPair(psi=Q, phi=np.eye(model.d_q),
-                                 b=np.zeros(model.d_q), tag="first layer")
+    net = as_reduced_basis(model)
     preds = forward(model, test_ds.m)
-    jac = np.empty((test_ds.n_samples, bases.rank_out, bases.rank_in))
+    jac = np.empty((test_ds.n_samples, net.spec.d_out, net.spec.d_in))
     for k in range(0, test_ds.n_samples, _BLOCK_ROWS):
         b = slice(k, k + _BLOCK_ROWS)
-        jac[b] = parametric_jacobian(model, test_ds.m[b]) if R is None \
-            else preactivation_jacobian(model, test_ds.m[b]) @ R.T
-    return ModelOutputs(preds, jac, bases, project_factors(test_ds, bases))
+        jac[b] = parametric_jacobian(net, test_ds.m[b])
+    return ModelOutputs(preds, jac, net.bases,
+                        project_factors(test_ds, net.bases))
 
 
 def _accuracy(ratios):

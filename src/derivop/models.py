@@ -71,8 +71,9 @@ class PriorConfig:
     grid: Grid
 
     def __post_init__(self):
-        if self.delta <= 0 or self.gamma < 0:
-            raise ValueError("delta must be > 0 and gamma >= 0")
+        if not (np.isfinite(self.delta) and np.isfinite(self.gamma)
+                and self.delta > 0 and self.gamma >= 0):
+            raise ValueError("need finite delta > 0 and gamma >= 0")
 
 
 def _banded_cholesky(J, dirichlet):
@@ -182,8 +183,8 @@ class RDModel:
     newton_max_iters: int = 25
 
     def __post_init__(self):
-        if self.c_nl < 0:
-            raise ValueError("c_nl must be >= 0")
+        if not (np.isfinite(self.c_nl) and self.c_nl >= 0):
+            raise ValueError("c_nl must be finite and >= 0")
         if self.source is None:
             object.__setattr__(self, "source", default_source(self.grid))
         if self.obs_nodes is None:
@@ -198,8 +199,9 @@ class RDModel:
         n = self.grid.n
         for p in obs:
             i, j = divmod(int(p), n)
-            if i in (0, n - 1) or j in (0, n - 1):
-                raise ValueError(f"observation node {p} is not interior")
+            if not 0 <= p < n * n or i in (0, n - 1) or j in (0, n - 1):
+                raise ValueError(f"observation node {p} is not an interior "
+                                 "node of the grid")
         object.__setattr__(self, "obs_nodes", obs)
 
     @property

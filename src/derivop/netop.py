@@ -29,27 +29,29 @@ Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
 
 One combinator, ``_penalty``, holds that pick and serves the penalty
 ||C_i - A_i^T J_i B_i||^2.  It reads A^T J B off the picked sweep and keeps
-that sweep's arrays; the Jacobian read-offs (``parametric_jacobian``,
-``preactivation_jacobian``) pass identity seeds and take only J.  The
-weight gradient (double backpropagation: second-order adjoints, forward
-over reverse) streams the other sweep against them, seeded from Ebar_i,
-the loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
+that sweep's arrays; the one Jacobian read-off, ``parametric_jacobian``,
+passes identity seeds and takes only J (evaluation reads a generic net's
+off its equivalent reduced-basis net, ``as_reduced_basis``).  The weight
+gradient (double backpropagation: second-order adjoints, forward over
+reverse) streams the other sweep against them, seeded from Ebar_i, the
+loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
 kept tangent tape, or T_0 = B_i Ebar_i^T up a kept adjoint sweep, which
 keeps its P_l too.  One rule per layer, ``_layer_pair``, reads the pair the
 value-loss backward pass consumes off the two sides: dW_l = P_l T_{l-1}^T
 and d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
 
 A loss reads its samples from a ``datagen.Dataset``: one container holds
-generated sets, mini-batches and latent sets.  A reduced-basis model's loss
-always reads a latent set; ``loss_and_grad`` sends a full-space batch
-through ``datagen.reduce_dataset``, the one place that projects samples
-onto the bases.
+generated sets, mini-batches and latent sets, and ``loss_set`` is the one
+rule for what a loss reads: a reduced-basis model's loss always reads a
+latent set from ``datagen.reduce_dataset``, the one place that projects
+samples onto the bases.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import qr
 
 from . import datagen, io
 from .bases import ReducedBasisPair
@@ -295,17 +297,21 @@ def parametric_jacobian(model, m):
     return J[0] if m.ndim == 1 else J
 
 
-def preactivation_jacobian(model, m):
-    """K(m) = df/dA_1 of a generic net, d_Q x n_1 per row of the batch
-    ``m``, so that J(m) = K(m) W_1 (A_1 = W_1 m + b_1).  ``_penalty`` reads
-    the Jacobian of layers 2..L off with identity seeds, and its columns
-    are scaled by d1_1, so no sweep reaches the d_M-wide W_1."""
-    _, d1s, _ = _mlp_forward(model.weights, m)
-    layers = model.weights.layers()
-    if len(layers) == 1:
-        return d1s[0][:, :, None] * np.eye(d1s[0].shape[1])
-    J = _penalty(layers[1:], d1s[1:], None, None, None, FlopCounter())[0]
-    return J * d1s[0][:, None, :]
+def as_reduced_basis(model):
+    """The reduced-basis net equal to ``model``: the model itself, or for a
+    generic net, with W_1^T = Q R (Q d_M x min(n_1, d_M)), the net with
+    Psi = Q, Phi = I, b = 0 and first-layer weight R^T.  Its latent
+    Jacobian J_r gives the generic one as J = J_r Q^T."""
+    if model.kind == "reduced_basis":
+        return model
+    W1 = model.weights.layers()[0][0]
+    Q, R = qr(W1.T, mode="economic")
+    spec = replace(model.spec, widths=(len(R), *model.spec.widths[1:]))
+    flat = np.concatenate([R.T.ravel(), model.weights.flat[W1.size:]])
+    pair = ReducedBasisPair(psi=Q, phi=np.eye(model.d_q),
+                            b=np.zeros(model.d_q), tag="first layer")
+    return OperatorModel("reduced_basis", spec, NetworkWeights(spec, flat),
+                         pair)
 
 
 def full_space_jacobian(model, m):
@@ -334,15 +340,28 @@ def _ms_weight(r, ridx, cidx, mode):
     return np.where(diag, r / k, (r * (r - 1)) / (k * max(k - 1, 1)))
 
 
-def _unread_fields(model, variant):
-    """The Jacobian fields of a set that the loss ``variant`` of ``model``
-    never reads: l2 reads none, h1_full of a reduced-basis model reads only
-    jac_r, and every other penalty reads the factors but not jac_r."""
+def loss_set(model, data, cfg):
+    """The set as the loss ``cfg`` of ``model`` reads it, without metadata
+    or unread fields: latent for a reduced-basis model (the latent problem
+    has the same w-gradient).  l2 reads no Jacobian field, h1_full of a
+    reduced-basis model only jac_r, and every other penalty the factors."""
     factors = ("jac_u", "jac_sigma", "jac_v")
-    if variant == "l2":
-        return (*factors, "jac_r")
     reduced = model.kind == "reduced_basis"
-    return factors if variant == "h1_full" and reduced else ("jac_r",)
+    unread = ((*factors, "jac_r") if cfg.variant == "l2"
+              else factors if cfg.variant == "h1_full" and reduced
+              else ("jac_r",))
+    missing = [f for f in factors
+               if f not in unread and getattr(data, f) is None]
+    if missing:
+        raise ValueError(f"{cfg.variant} needs the stored Jacobian SVD "
+                         f"factors; the set lacks {', '.join(missing)}")
+    if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
+        raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
+    if cfg.variant == "l2":  # nothing to project but m and q
+        data = replace(data, **dict.fromkeys(unread))
+    if reduced:
+        data = datagen.reduce_dataset(data, model.bases, "jac_r" not in unread)
+    return replace(data, meta=None, **dict.fromkeys(unread))
 
 
 def _penalty_terms(model, batch, cfg, ms_idx):
@@ -447,7 +466,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     """Batch-mean loss of the configured formulation and its exact w-gradient.
 
     A reduced-basis model reads its batch in latent coordinates: a
-    full-space batch goes through ``reduce_dataset`` first, so the loss
+    full-space batch goes through ``loss_set`` first, so the loss
     omits the w-independent misfit sum_i ||(I - Phi Phi^T)(q_i - b)||^2 / n
     and the gradient is that of the full-space loss.  ``ms_idx`` is the
     (row, column) index pair drawn by the trainer for the matrix-subsampled
@@ -456,8 +475,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     if batch.latent != (model.kind == "reduced_basis"):
         if batch.latent:
             raise ValueError("latent batches require a reduced-basis model")
-        batch = datagen.reduce_dataset(batch, model.bases,
-                                       cfg.variant == "h1_full")
+        batch = loss_set(model, batch, cfg)
     weights = model.weights
     layers = weights.layers()
     nbatch = batch.n_samples

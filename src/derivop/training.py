@@ -2,15 +2,15 @@
 index sampler, a bias-corrected Adam optimizer, and the epoch/batch loop.
 
 The subsampled penalty, with its target and its unbiasing weights, lives in
-``netop`` with the other losses; this module only draws the indices.
+``netop`` with the other losses, and so does ``loss_set``, which prepares
+the sets; this module only draws the indices.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import reduce_dataset
-from .netop import _unread_fields, loss_and_grad
+from .netop import loss_and_grad, loss_set
 
 LOSS_VARIANTS = ("l2", "h1_full", "h1_truncated", "h1_truncated_ms")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
@@ -119,28 +119,8 @@ class TrainHistory:
         ]
 
 
-def _training_set(data, model, cfg):
-    """The set as the loss reads it: latent for reduced-basis models,
-    whatever the loss (the latent problem has the same w-gradient), and
-    full-space for generic ones, less the metadata and the fields the loss
-    never reads."""
-    unread = _unread_fields(model, cfg.variant)
-    missing = [f for f in ("jac_u", "jac_sigma", "jac_v")
-               if f not in unread and getattr(data, f) is None]
-    if missing:
-        raise ValueError(f"{cfg.variant} needs the stored Jacobian SVD "
-                         f"factors; the set lacks {', '.join(missing)}")
-    if cfg.variant == "h1_truncated_ms" and cfg.k > data.rank:
-        raise ValueError(f"k = {cfg.k} exceeds stored rank {data.rank}")
-    if cfg.variant == "l2":  # nothing to project but m and q
-        data = replace(data, **dict.fromkeys(unread))
-    if model.kind == "reduced_basis":
-        data = reduce_dataset(data, model.bases, "jac_r" not in unread)
-    return replace(data, meta=None, **dict.fromkeys(unread))
-
-
 def _mean_loss(model, data, cfg):
-    """Mean loss over a set from ``_training_set`` without a gradient step
+    """Mean loss over a set from ``loss_set`` without a gradient step
     (holdout evaluation)."""
     n = data.n_samples
     # MS draws add noise to a monitoring metric; use the deterministic
@@ -168,8 +148,8 @@ def train(data, model, cfg, epochs=100, batch_size=32, seed=0,
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"learning rate alpha must be finite and > 0, "
                          f"got {alpha}")
-    train_set = _training_set(data, model, cfg)
-    held = None if holdout is None else _training_set(holdout, model, cfg)
+    train_set = loss_set(model, data, cfg)
+    held = None if holdout is None else loss_set(model, holdout, cfg)
     n = train_set.n_samples
     rng = np.random.default_rng(seed)
     state = AdamState.fresh(model.spec.d_w, alpha=alpha)

@@ -41,12 +41,12 @@ class TestGenerate:
                      "0", "--out", str(tmp_path / "d")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_invalid_thread_count_fails(self, tmp_path, capsys, threads):
-        assert main(["generate", "--problem", "toy", "--n", "2", "--rank",
-                     "4", "--threads", threads,
-                     "--out", str(tmp_path / "d")]) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_negative_oversample_fails(self, tmp_path, capsys):
+        # a setting error, raised before any sample is solved
+        assert main(["generate", "--grid", "9", "--n", "2", "--rank", "4",
+                     "--oversample", "-1", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "sample 0" not in err
         assert not (tmp_path / "d").exists()
 
     def test_rd_problem_smoke(self, tmp_path):

@@ -225,6 +225,22 @@ class TestGenerate:
             with pytest.raises(ValueError, match="threads"):
                 generate_dataset(tm, None, 2, rank=4, threads=threads)
 
+    @pytest.mark.parametrize("sketch", [{"oversample": -1},
+                                        {"power_iters": -1}])
+    def test_bad_sketch_setting_rejected_before_any_solve(
+            self, monkeypatch, sketch):
+        # a setting error, not a failure of sample 0
+        def solve(*args, **kwargs):
+            raise AssertionError("a state was solved")
+
+        monkeypatch.setattr(datagen, "solve_state", solve)
+        grid = Grid(9)
+        with pytest.raises(ValueError, match="oversample") as err:
+            generate_dataset(RDModel(grid=grid),
+                             PriorConfig(delta=1.0, gamma=0.1, grid=grid), 2,
+                             rank=4, **sketch)
+        assert not isinstance(err.value, GenerationError)
+
     def test_inconsistent_shapes_rejected(self, toy_ds):
         with pytest.raises(ValueError):
             Dataset(m=toy_ds.m, q=toy_ds.q[:-1], jac_u=toy_ds.jac_u,

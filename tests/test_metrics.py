@@ -493,13 +493,14 @@ def wide_out_ds():
 
 class TestFactoredGeneric:
     """A generic net's record is latent through its first layer,
-    J = (K R^T) Q^T with W_1^T = Q R, and scores as its dense Jacobian."""
+    J = J_r Q^T with W_1^T = Q R for the latent Jacobian J_r of its
+    equivalent reduced-basis net, and scores as its dense Jacobian."""
 
     @pytest.mark.parametrize("hidden", [
         (10,),  # n_1 < d_M
         (20, 7),  # n_1 = d_M: square QR
         (26, 9),  # n_1 > d_M: square QR, R wider than tall
-        (),  # one linear layer, K = I
+        (),  # one linear layer, J_r = R^T
     ])
     def test_matches_per_sample_reference(self, ds17, hidden):
         self._check(ds17, generic_net((20, *hidden, 8), seed=len(hidden)))
@@ -637,7 +638,7 @@ class TestEvaluate:
 def calls(monkeypatch):
     """Counts the model work the metrics do, by name."""
     counts = dict.fromkeys(("forward", "parametric_jacobian",
-                            "preactivation_jacobian", "project_factors"), 0)
+                            "project_factors"), 0)
     for name in counts:
         def counted(*args, _name=name, _real=getattr(metrics, name)):
             counts[_name] += 1
@@ -650,15 +651,12 @@ def calls(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_evaluate_runs_the_model_once(self, ds17, kind, calls):
-        # one forward pass, one Jacobian sweep per block: a reduced-basis
-        # net's own, a generic net's up to its first layer
+        # one forward pass and one Jacobian sweep per block, of the net
+        # itself or of a generic net's equivalent reduced-basis net
         evaluate(make_model(kind, ds17, seed=2), ds17)
-        sweep = "parametric_jacobian" if kind == "reduced" \
-            else "preactivation_jacobian"
-        want = {"forward": 1, "parametric_jacobian": 0,
-                "preactivation_jacobian": 0, "project_factors": 1}
-        want[sweep] = -(-17 // _BLOCK_ROWS)
-        assert calls == want
+        assert calls == {"forward": 1,
+                         "parametric_jacobian": -(-17 // _BLOCK_ROWS),
+                         "project_factors": 1}
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_penalty_flops_count_training_only(self, ds17, kind):
@@ -673,7 +671,7 @@ class TestOnePass:
         evaluate(model, ds17, metrics=("l2",))
         l2_accuracy(model, ds17)
         assert calls == {"forward": 2, "parametric_jacobian": 0,
-                         "preactivation_jacobian": 0, "project_factors": 0}
+                         "project_factors": 0}
 
     def test_record_comes_back_unchanged(self, ds17):
         record = model_outputs(make_model("reduced", ds17, seed=2), ds17)

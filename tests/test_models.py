@@ -87,6 +87,13 @@ class TestPrior:
         with pytest.raises(ValueError):
             PriorConfig(delta=0.0, gamma=0.1, grid=grid9)
 
+    @pytest.mark.parametrize("delta, gamma", [
+        (np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, np.inf)])
+    def test_non_finite_config_rejected(self, grid9, delta, gamma):
+        # nan fails no comparison, and delta = inf draws all zeros
+        with pytest.raises(ValueError, match="finite"):
+            PriorConfig(delta=delta, gamma=gamma, grid=grid9)
+
 
 class TestSolveState:
     def test_linear_profile_exact(self, grid9):
@@ -388,6 +395,17 @@ class TestObserve:
     def test_boundary_observation_rejected(self, grid9):
         with pytest.raises(ValueError):
             RDModel(grid=grid9, obs_nodes=np.array([0]))
+
+    @pytest.mark.parametrize("node", [81, 86, -11, -1])
+    def test_observation_outside_grid_rejected(self, grid9, node):
+        # -11 would read node 70 and 86 fail in generation
+        with pytest.raises(ValueError, match="interior"):
+            RDModel(grid=grid9, obs_nodes=[node])
+
+    @pytest.mark.parametrize("c_nl", [np.nan, np.inf, -1.0])
+    def test_invalid_reaction_coefficient_rejected(self, grid9, c_nl):
+        with pytest.raises(ValueError, match="c_nl"):
+            RDModel(grid=grid9, c_nl=c_nl)
 
 
 def loop_assembly(model, u, m, prior):

@@ -16,7 +16,7 @@ from reference import (
 )
 from scipy.special import expit
 
-from derivop import netop
+from derivop import datagen, netop
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, reduce_dataset
 from derivop.io import LoadError, load_arrays, save_arrays
@@ -35,8 +35,10 @@ from derivop.netop import (
     _tangent_tape,
     forward,
     full_space_jacobian,
+    as_reduced_basis,
     load_model,
     loss_and_grad,
+    loss_set,
     parametric_jacobian,
     save_model,
 )
@@ -619,6 +621,71 @@ class TestBatchedTapeVsLoop:
             np.testing.assert_allclose(batched[i],
                                        parametric_jacobian(model, M[i]),
                                        rtol=1e-13, atol=1e-15)
+
+
+class TestLossSet:
+    """``loss_set`` is the one rule for what a loss reads of a set."""
+
+    @pytest.mark.parametrize("cfg", ALL_CFGS, ids=_cfg_id)
+    def test_full_space_batch_reads_its_loss_set(self, cfg, monkeypatch):
+        # loss_and_grad projects a full-space batch through loss_set, so
+        # the two calls are one computation
+        rng = np.random.default_rng(21)
+        model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 5, rng, exact=False, rank=4)
+        ms_idx = _ms_draw(cfg, 4, rng)
+        want = loss_and_grad(model, loss_set(model, batch, cfg), cfg,
+                             ms_idx=ms_idx)
+        projections = []
+        real = datagen.project_factors
+        monkeypatch.setattr(datagen, "project_factors",
+                            lambda *a: projections.append(1) or real(*a))
+        loss, grad = loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        assert loss == want[0]
+        np.testing.assert_array_equal(grad, want[1])
+        # l2 reads no Jacobian field, so none is projected
+        assert len(projections) == (cfg.variant != "l2")
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    @pytest.mark.parametrize("cfg", ALL_CFGS, ids=_cfg_id)
+    def test_fields_read(self, cfg, kind):
+        rng = np.random.default_rng(22)
+        model = make_generic(7, 5, (6,)) if kind == "generic" \
+            else make_reduced(7, 5, 5, 4, (6,), rng)
+        batch = batch_from_model(model, 3, rng, exact=False, rank=4)
+        batch.meta = {"n_samples": 3}
+        got = loss_set(model, batch, cfg)
+        factors = ("jac_u", "jac_sigma", "jac_v")
+        want = set() if cfg.variant == "l2" else {"jac_r"} \
+            if cfg.variant == "h1_full" and kind == "reduced_basis" \
+            else set(factors)
+        assert {f for f in (*factors, "jac_r")
+                if getattr(got, f) is not None} == want
+        assert got.meta is None
+        assert got.latent == (kind == "reduced_basis")
+
+
+class TestAsReducedBasis:
+    """A generic net is the reduced-basis net on the QR of its first layer."""
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (9, 3), (12, 6)],
+                             ids=["one-layer", "n1<dM", "n1>dM", "n1>dM-deep"])
+    def test_same_map_and_jacobian(self, hidden):
+        rng = np.random.default_rng(24)
+        model = make_generic(7, 5, hidden, seed=3)
+        net = as_reduced_basis(model)
+        assert net.kind == "reduced_basis" and net.d_m == 7 and net.d_q == 5
+        assert net.spec.d_in == min(model.spec.widths[1], 7)
+        M = rng.standard_normal((4, 7))
+        np.testing.assert_allclose(forward(net, M), forward(model, M),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            parametric_jacobian(net, M) @ net.bases.psi.T,
+            parametric_jacobian(model, M), rtol=0, atol=1e-13)
+
+    def test_reduced_basis_net_is_itself(self):
+        model = make_reduced(7, 5, 5, 4, (6,), np.random.default_rng(25))
+        assert as_reduced_basis(model) is model
 
 
 # --- multiply counts -------------------------------------------------------

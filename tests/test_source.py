@@ -20,7 +20,7 @@ ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "scipy", "derivop"}
 # Parameters with a default in src/derivop signatures, dataclass fields with
 # a default, and CLI options with a default.  A change that adds or removes
 # a knob updates this count.
-KNOBS = 115
+KNOBS = 114
 
 
 def unused_imports(source):
@@ -69,6 +69,34 @@ def test_import_checker():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_runtime_deps_are_numpy_and_scipy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source):
+    """``_``-prefixed, non-dunder names a module imports from another
+    derivop module, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.split(".")[0] == "derivop"):
+            found.update(alias.name for alias in node.names
+                         if alias.name.startswith("_")
+                         and not (alias.name.startswith("__")
+                                  and alias.name.endswith("__")))
+    return sorted(found)
+
+
+def test_private_import_checker():
+    source = ("from .netop import _penalty, loss_and_grad\n"
+              "from derivop.models import _faces\nfrom . import __version__\n"
+              "from collections import _chain\nfrom .. import _x as y, __z\n")
+    assert private_imports(source) == ["__z", "_faces", "_penalty", "_x"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cross_module_private_imports(path):
+    """A module's private names stay its own: what another module needs is
+    public."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(source):

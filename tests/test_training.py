@@ -12,7 +12,7 @@ from reference import (
     random_orthonormal,
 )
 
-from derivop import netop, training
+from derivop import datagen, netop, training
 from derivop.bases import derivative_informed_bases
 from derivop.datagen import Dataset, generate_dataset, reduce_dataset
 from derivop.models import ToyMap
@@ -419,7 +419,7 @@ class TestTrain:
                               weights=NetworkWeights.init(spec), bases=bases)
         calls = []
         monkeypatch.setattr(
-            training, "reduce_dataset",
+            datagen, "reduce_dataset",
             lambda *args: calls.append(1) or reduce_dataset(*args))
         holdout = toy_ds.subset(range(8))
         cfg = LossConfig(variant=variant)
