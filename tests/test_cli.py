@@ -41,6 +41,17 @@ class TestGenerate:
                      "0", "--out", str(tmp_path / "d")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_invalid_thread_count_fails(self, tmp_path, capsys, threads):
+        # generate has no --threads flag: a thread count is refused as an
+        # unknown argument, not silently ignored, and nothing is written
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--problem", "toy", "--n", "2", "--rank", "4",
+                  "--threads", threads, "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_negative_oversample_fails(self, tmp_path, capsys):
         # a setting error, raised before any sample is solved
         assert main(["generate", "--grid", "9", "--n", "2", "--rank", "4",
