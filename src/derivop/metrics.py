@@ -9,9 +9,9 @@ ModelOutputs record of its predictions and stacked Jacobians on the test
 set, which ``model_outputs`` builds in one pass (``evaluate`` builds it once
 for all metrics); every metric is batched array algebra over the record.
 A record's Jacobians are the latent ones of the net's equivalent
-reduced-basis net, and the residuals are expanded through the stored SVD
-factors: no net forms a d_Q x d_M matrix.  Dense Jacobians form a record
-in the identity pair.
+reduced-basis net, and every residual is expanded through the stored SVD
+factors and Psi^T V: no metric forms a d_M-wide vector, let alone a
+d_Q x d_M matrix.  Dense Jacobians form a record in the identity pair.
 """
 
 import csv
@@ -24,9 +24,6 @@ import numpy as np
 from .datagen import project_factors
 from .netop import as_reduced_basis, forward, parametric_jacobian
 
-# Test rows per block: a net's Jacobian sweep runs one block at a time, so
-# its transient memory stays bounded.
-_BLOCK_ROWS = 8
 METRICS = ("l2", "h1", "grad", "gn", "rgn")
 
 
@@ -72,10 +69,10 @@ class ModelOutputs:
 
 def model_outputs(model, test_ds):
     """The ModelOutputs of an OperatorModel on ``test_ds`` (a ModelOutputs
-    comes back unchanged): its own ``forward`` and, one block of rows at a
-    time, the ``parametric_jacobian`` of its ``as_reduced_basis`` net, in
-    that net's pair.  The Jacobian metrics read the stored SVD factors, so
-    a set without them raises ValueError."""
+    comes back unchanged): its own ``forward`` and one ``parametric_jacobian``
+    call (one forward tape, swept in row blocks) of its ``as_reduced_basis``
+    net, in that net's pair.  The Jacobian metrics read the stored SVD
+    factors, so a set without them raises ValueError."""
     missing = [f for f in ("jac_u", "jac_sigma", "jac_v")
                if getattr(test_ds, f) is None]
     if missing:
@@ -84,12 +81,8 @@ def model_outputs(model, test_ds):
     if isinstance(model, ModelOutputs):
         return model
     net = as_reduced_basis(model)
-    preds = forward(model, test_ds.m)
-    jac = np.empty((test_ds.n_samples, net.spec.d_out, net.spec.d_in))
-    for k in range(0, test_ds.n_samples, _BLOCK_ROWS):
-        b = slice(k, k + _BLOCK_ROWS)
-        jac[b] = parametric_jacobian(net, test_ds.m[b])
-    return ModelOutputs(preds, jac, net.bases,
+    return ModelOutputs(forward(model, test_ds.m),
+                        parametric_jacobian(net, test_ds.m), net.bases,
                         project_factors(test_ds, net.bases))
 
 
@@ -147,10 +140,11 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
 
     For each test sample, d = q + eta with eta ~ N(0, (noise_pct * RMS)^2 I);
     the true gradient uses the stored Jacobian SVD, the predicted one the
-    model's values and Jacobian.  One call draws all the noise, in the
-    order of a loop over samples and then draws; draws whose true gradient
-    is zero are skipped.  Raises ValueError unless ``n_misfit`` >= 1 and
-    the noise scale is positive.
+    model's values and Jacobian.  Both stay latent, r and r_M wide, and
+    their error is expanded through Psi^T V: no d_M-wide gradient forms.
+    One call draws all the noise, in the order of a loop over samples and
+    then draws; draws whose true gradient is zero are skipped.  Raises
+    ValueError unless ``n_misfit`` >= 1 and the noise scale is positive.
     """
     std = noise_std(test_ds, noise_pct)
     if std <= 0:
@@ -163,28 +157,18 @@ def gradient_accuracy(model, test_ds, noise_pct=0.01, seed=0, n_misfit=4):
     noise = rng.standard_normal((test_ds.n_samples, n_misfit, test_ds.d_q))
     q = test_ds.q[:, None, :]
     d = q + std * noise
-    # the misfit gradient J^T Gamma^{-1} (f - d), Gamma = var I, per draw:
-    # of the true map (f = q) and of the model
+    # the misfit gradient J^T Gamma^{-1} (f - d), Gamma = var I, per draw,
+    # of the true map (f = q) and of the model, kept latent: g_true = a V_i^T
+    # and g_pred = c Psi^T, so <g_pred, g_true> = <c Psi^T V_i, a>
     w_true = (q - d) / var
     w_pred = (out.preds[:, None, :] - d) / var
-    g_true = ((w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]) \
-        @ test_ds.jac_v.transpose(0, 2, 1)
-    # A stacked matmul runs about 4x slower on a Fortran-ordered right
-    # operand, which psi.T is for a C-ordered Psi (loaded bases, say).
-    g_diff = ((w_pred @ out.bases.phi) @ out.jac) \
-        @ np.ascontiguousarray(out.bases.psi.T)
-    g_diff -= g_true
-    ratios, skipped = _skip_zero(np.einsum("nkj,nkj->nk", g_diff, g_diff),
-                                 np.einsum("nkj,nkj->nk", g_true, g_true))
+    a = (w_true @ test_ds.jac_u) * test_ds.jac_sigma[:, None, :]
+    c = (w_pred @ out.bases.phi) @ out.jac
+    true2 = np.einsum("nkr,nkr->nk", a, a)
+    cross = np.einsum("nkr,nkr->nk", c @ out.projected[1], a)
+    err2 = np.einsum("nkj,nkj->nk", c, c) - 2.0 * cross + true2
+    ratios, skipped = _skip_zero(np.maximum(err2, 0.0), true2)  # round-off
     return _accuracy(ratios), ratios, skipped
-
-
-def _diag_residual2(s2, G):
-    """||diag(s2_i) - G_i||_F^2 for a stack of square G_i."""
-    R = -G
-    diag = np.arange(s2.shape[1])
-    R[:, diag, diag] += s2
-    return _sum_squares(R)
 
 
 def gauss_newton_accuracies(model, test_ds):
@@ -205,7 +189,7 @@ def gauss_newton_accuracies(model, test_ds):
     gram = Jt @ J if J.shape[1] > J.shape[2] else J @ Jt
     # clamp tiny negative round-off
     full_err2 = np.maximum(norm2 - 2.0 * cross + _sum_squares(gram), 0.0)
-    red_err2 = _diag_residual2(s2, red_model)
+    red_err2 = _sum_squares(red_model - s2[:, :, None] * np.eye(s.shape[1]))
     full_ratios, skipped = _skip_zero(full_err2, norm2)
     red_ratios, _ = _skip_zero(red_err2, norm2)
     return (_accuracy(full_ratios), _accuracy(red_ratios), full_ratios,

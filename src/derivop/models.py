@@ -185,6 +185,11 @@ class RDModel:
     def __post_init__(self):
         if not (np.isfinite(self.c_nl) and self.c_nl >= 0):
             raise ValueError("c_nl must be finite and >= 0")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be finite and > 0")
+        if not (isinstance(self.newton_max_iters, (int, np.integer))
+                and self.newton_max_iters >= 1):
+            raise ValueError("newton_max_iters must be an integer >= 1")
         if self.source is None:
             object.__setattr__(self, "source", default_source(self.grid))
         if self.obs_nodes is None:

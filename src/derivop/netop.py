@@ -30,10 +30,10 @@ Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
 One combinator, ``_penalty``, holds that pick and serves the penalty
 ||C_i - A_i^T J_i B_i||^2.  It reads A^T J B off the picked sweep and keeps
 that sweep's arrays; the one Jacobian read-off, ``parametric_jacobian``,
-passes identity seeds and takes only J (evaluation reads a generic net's
-off its equivalent reduced-basis net, ``as_reduced_basis``).  The weight
-gradient (double backpropagation: second-order adjoints, forward over
-reverse) streams the other sweep against them, seeded from Ebar_i, the
+sweeps one forward tape a block of rows at a time with identity seeds
+(evaluation reads a generic net's off its ``as_reduced_basis`` net).  The
+weight gradient (double backpropagation: second-order adjoints, forward
+over reverse) streams the other sweep against them, seeded from Ebar_i, the
 loss gradient with respect to A_i^T J_i B_i: Q_L = A_i Ebar_i down a
 kept tangent tape, or T_0 = B_i Ebar_i^T up a kept adjoint sweep, which
 keeps its P_l too.  One rule per layer, ``_layer_pair``, reads the pair the
@@ -211,9 +211,7 @@ def _mlp_forward(weights, X):
 
 def forward(model, m):
     """Full-space evaluation f(m); accepts a vector or a batch of rows."""
-    m = np.asarray(m, dtype=float)
-    single = m.ndim == 1
-    M = np.atleast_2d(m)
+    M = np.atleast_2d(np.asarray(m, dtype=float))
     if M.shape[1] != model.d_m:
         raise ValueError(f"input dim {M.shape[1]} != d_M = {model.d_m}")
     if model.kind == "reduced_basis":
@@ -221,7 +219,7 @@ def forward(model, m):
     out = _mlp_forward(model.weights, M)[0][-1]
     if model.kind == "reduced_basis":
         out = out @ model.bases.phi.T + model.bases.b
-    return out[0] if single else out
+    return out[0] if np.ndim(m) == 1 else out
 
 
 # --- Jacobian sweeps ----------------------------------------------------------
@@ -234,6 +232,7 @@ class FlopCounter:
 
 
 PENALTY_FLOPS = FlopCounter()
+_BLOCK_ROWS = 8  # rows per block of a Jacobian read-off's sweeps
 
 
 def _tangent_tape(layers, d1s, T, flops):
@@ -288,13 +287,24 @@ def _adjoint_sweep(layers, d1s, Q, flops):
 def parametric_jacobian(model, m):
     """Exact Jacobian of the model at m: latent r_Q x r_M for reduced-basis
     models, d_Q x d_M for generic ones.  A batch of rows gives one per row.
-    ``_penalty`` reads it off with identity seeds."""
-    m = np.asarray(m, dtype=float)
-    X = m @ model.bases.psi if model.kind == "reduced_basis" else m
-    _, d1s, _ = _mlp_forward(model.weights, np.atleast_2d(X))
-    J = _penalty(model.weights.layers(), d1s, None, None, None,
-                 FlopCounter())[0]
-    return J[0] if m.ndim == 1 else J
+    ``_penalty`` reads it off one forward tape, a block at a time, with
+    identity seeds.  The tape runs on the rows zero-padded to whole blocks,
+    stacked, one GEMM per block: whatever kernel BLAS picks by row count, a
+    block gets the bits of its own read-off."""
+    M = np.atleast_2d(np.asarray(m, dtype=float))
+    n, d = M.shape
+    X = np.zeros((-(-n // _BLOCK_ROWS), _BLOCK_ROWS, d))
+    X.reshape(-1, d)[:n] = M
+    if model.kind == "reduced_basis":
+        X = X @ model.bases.psi
+    d1s = [d1.reshape(-1, d1.shape[2])[:n]
+           for d1 in _mlp_forward(model.weights, X)[1]]
+    J = np.empty((n, model.spec.d_out, model.spec.d_in))
+    for k in range(0, n, _BLOCK_ROWS):
+        b = slice(k, k + _BLOCK_ROWS)
+        J[b] = _penalty(model.weights.layers(), [d1[b] for d1 in d1s], None,
+                        None, None, FlopCounter())[0]
+    return J[0] if np.ndim(m) == 1 else J
 
 
 def as_reduced_basis(model):

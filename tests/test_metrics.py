@@ -2,17 +2,17 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from reference import truncation_error_bound
+from reference import random_orthonormal, truncation_error_bound
 
 from derivop import metrics
 from derivop.bases import ReducedBasisPair
 from derivop.datagen import Dataset, generate_dataset, project_factors
 from derivop.linalg import TruncatedJacobian
 from derivop.metrics import (
-    _BLOCK_ROWS,
     EvalReport,
     ModelOutputs,
     evaluate,
@@ -33,6 +33,7 @@ from derivop.models import (
     toy_map,
 )
 from derivop.netop import (
+    _BLOCK_ROWS,
     PENALTY_FLOPS,
     MLPSpec,
     NetworkWeights,
@@ -334,6 +335,34 @@ class TestGradientAccuracy:
             base = ratio(toy_ds.q[i], preds[i], d, Jt, Jm)
             rot = ratio(R @ toy_ds.q[i], R @ preds[i], R @ d, R @ Jt, R @ Jm)
             assert rot == pytest.approx(base, rel=1e-8)
+
+    def test_forms_no_d_m_wide_gradient(self):
+        # the gradients stay latent: the peak stays below the bytes of one
+        # (n, n_misfit, d_M) array of them
+        rng = np.random.default_rng(31)
+        n, d_m, d_q, r, n_misfit = 16, 2000, 10, 5, 4
+        ds = Dataset(
+            m=rng.standard_normal((n, d_m)), q=rng.standard_normal((n, d_q)),
+            jac_u=np.stack([random_orthonormal(d_q, r, rng)
+                            for _ in range(n)]),
+            jac_sigma=np.sort(rng.random((n, r)))[:, ::-1].copy(),
+            jac_v=np.stack([random_orthonormal(d_m, r, rng)
+                            for _ in range(n)]))
+        pair = ReducedBasisPair(psi=random_orthonormal(d_m, r, rng),
+                                phi=random_orthonormal(d_q, r, rng),
+                                b=np.zeros(d_q))
+        record = ModelOutputs(rng.standard_normal((n, d_q)),
+                              rng.standard_normal((n, r, r)), pair,
+                              project_factors(ds, pair))
+        want = gradient_accuracy(record, ds, n_misfit=n_misfit)
+        tracemalloc.start()
+        try:
+            got = gradient_accuracy(record, ds, n_misfit=n_misfit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert peak < n * n_misfit * d_m * 8
 
 
 class TestGaussNewton:
@@ -651,11 +680,10 @@ def calls(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("kind", ["generic", "reduced"])
     def test_evaluate_runs_the_model_once(self, ds17, kind, calls):
-        # one forward pass and one Jacobian sweep per block, of the net
-        # itself or of a generic net's equivalent reduced-basis net
+        # one forward pass and one Jacobian read-off, of the net itself or
+        # of a generic net's equivalent reduced-basis net
         evaluate(make_model(kind, ds17, seed=2), ds17)
-        assert calls == {"forward": 1,
-                         "parametric_jacobian": -(-17 // _BLOCK_ROWS),
+        assert calls == {"forward": 1, "parametric_jacobian": 1,
                          "project_factors": 1}
 
     @pytest.mark.parametrize("kind", ["generic", "reduced"])

@@ -123,10 +123,11 @@ class TestSolveState:
             solve_state(model, m)
         except NewtonConvergenceError as exc:  # pragma: no cover
             pytest.fail(f"unexpected failure: {exc.history}")
-        # re-run manually to count iterations via the residual history
-        with pytest.raises(NewtonConvergenceError) as info:
-            solve_state(RDModel(grid=grid9, c_nl=0.0, newton_max_iters=0), m)
-        assert len(info.value.history) == 1  # only the initial residual
+        # a cap of one iteration suffices; the history counts it
+        _, history = solve_state(RDModel(grid=grid9, c_nl=0.0,
+                                         newton_max_iters=1), m,
+                                 full_output=True)
+        assert len(history) == 2  # the initial residual and one step
 
     def test_discrete_maximum_principle(self, grid9):
         model = RDModel(grid=grid9, c_nl=0.0,
@@ -170,7 +171,7 @@ class TestSolveState:
         np.testing.assert_allclose(u[-n:], 1.0, atol=1e-14)
         np.testing.assert_allclose(u, solve_state(model9, m), atol=1e-12)
 
-    @pytest.mark.parametrize("knobs", [{"newton_max_iters": 0},
+    @pytest.mark.parametrize("knobs", [{"newton_max_iters": 1},
                                        {"newton_tol": 1e-15}])
     def test_failed_mean_state_falls_back_to_linear_profile(self, grid9,
                                                             prior9, knobs):
@@ -406,6 +407,24 @@ class TestObserve:
     def test_invalid_reaction_coefficient_rejected(self, grid9, c_nl):
         with pytest.raises(ValueError, match="c_nl"):
             RDModel(grid=grid9, c_nl=c_nl)
+
+    @pytest.mark.parametrize("knobs", [
+        {"newton_tol": np.nan}, {"newton_tol": np.inf},
+        {"newton_tol": -1.0}, {"newton_tol": 0.0},
+        {"newton_max_iters": 0}, {"newton_max_iters": -3},
+        {"newton_max_iters": 2.5}, {"newton_max_iters": np.nan},
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "iters-0",
+            "iters-negative", "iters-float", "iters-nan"])
+    def test_invalid_newton_settings_rejected(self, grid9, knobs):
+        # unchecked, a nan or inf tolerance returns the start state
+        # unsolved, and the others fail later as solver errors
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            RDModel(grid=grid9, **knobs)
+
+    def test_integer_newton_cap_accepted(self, grid9):
+        model = RDModel(grid=grid9, newton_max_iters=np.int64(3),
+                        newton_tol=1e-8)
+        assert model.newton_max_iters == 3
 
 
 def loop_assembly(model, u, m, prior):

@@ -688,6 +688,58 @@ class TestAsReducedBasis:
         assert as_reduced_basis(model) is model
 
 
+def read_off_net(kind):
+    """A dipnet, or a generic net's equivalent reduced-basis net (its Psi an
+    F-ordered Q), both at the dino-pipeline benchmark's latent widths."""
+    if kind == "dipnet":
+        return make_reduced(60, 30, 50, 25, (50, 50),
+                            np.random.default_rng(26), seed=2)
+    return as_reduced_basis(make_generic(60, 30, (50, 50), seed=2))
+
+
+class TestOneTapeReadOff:
+    """parametric_jacobian runs one forward tape over all rows and reads J
+    off it in blocks of _BLOCK_ROWS rows."""
+
+    @pytest.mark.parametrize("n", [17, 64])
+    @pytest.mark.parametrize("kind", ["dipnet", "generic"])
+    def test_one_tape_bitwise_equal_to_block_reads(self, kind, n,
+                                                   monkeypatch):
+        net = read_off_net(kind)
+        M = np.random.default_rng(27).standard_normal((n, net.d_m))
+        calls = []
+
+        def counted(weights, X, _real=netop._mlp_forward):
+            calls.append(X.shape)
+            return _real(weights, X)
+
+        monkeypatch.setattr(netop, "_mlp_forward", counted)
+        J = parametric_jacobian(net, M)
+        assert len(calls) == 1
+        # each block reads as it would alone, whatever GEMM kernel BLAS
+        # picks for a row count (the 1-row tail of 17 included)
+        blocks = [parametric_jacobian(net, M[k:k + netop._BLOCK_ROWS])
+                  for k in range(0, n, netop._BLOCK_ROWS)]
+        np.testing.assert_array_equal(J, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_empty_single_and_partial_reads(self, kind):
+        rng = np.random.default_rng(28)
+        model = make_generic(6, 4, (8, 8)) if kind == "generic" \
+            else make_reduced(9, 6, 5, 4, (8,), rng)
+        shape = (model.d_q, model.d_m) if kind == "generic" \
+            else (model.spec.d_out, model.spec.d_in)
+        assert parametric_jacobian(model, np.empty((0, model.d_m))).shape \
+            == (0, *shape)
+        M = rng.standard_normal((11, model.d_m))  # 11 % _BLOCK_ROWS != 0
+        J = parametric_jacobian(model, M)
+        assert J.shape == (11, *shape)
+        for i in (0, 7, 8, 10):
+            single = parametric_jacobian(model, M[i])
+            assert single.shape == shape
+            np.testing.assert_allclose(J[i], single, rtol=1e-13, atol=1e-15)
+
+
 # --- multiply counts -------------------------------------------------------
 # PENALTY_FLOPS counts the penalty's evaluation path: the sweep, the read-off
 # of A^T J B and the residual E.  The hand counts below are per sample, for
