@@ -17,15 +17,16 @@ T_l = d1_l * (W_l T_{l-1}), stored (cols, n, n_l), so T_L[:, i] is
 a left factor A_i (or of the identity) down it: Q_L = A_i, P_l = d1_l * Q_l
 and Q_{l-1} = W_l^T P_l, stored (rows, n, n_{l-1}), so Q_0[:, i] is
 A_i^T J(m_i).  Every array is stored column-outer, (columns, n, width), so
-that each layer's work is dense: one GEMM of the stacked
-(columns * n, width) array by W_l^T or W_l, a d1 scaling that broadcasts the
-(n, width) d1_l over the leading axis (inner loops n * width long, not
-columns long), and a weight gradient that contracts the leading axes in one
-GEMM, with no copy.  Each array forms only when pulled.  The shapes alone
-pick the sweep: the adjoint one iff rows < cols, and ties keep the tangent
-tape.  So h1_full penalties and the Jacobian read-offs take the adjoint
-sweep when the net's output is narrower than its input, as DINO's r_Q x r_M
-Jacobian is, and the truncated penalties (rows = cols) the tangent tape.
+each layer's work is dense: a GEMM of the stacked (columns * n, width) array
+by W_l^T or W_l, a d1 scaling that broadcasts the (n, width) d1_l over the
+leading axis, and a weight gradient that contracts the leading axes, each
+GEMM in fixed blocks of _SWEEP_ROWS rows, so that their bits do not depend
+on the BLAS thread count.  Each array forms only when pulled, and the
+forward tape only what its reader reads: ``forward`` the values, the l2 loss
+and the read-offs the d1s too, the penalties d2/d1 as well.  The shapes
+alone pick the sweep: the adjoint one iff rows < cols, and ties keep the
+tangent tape, so h1_full penalties and the read-offs take the adjoint sweep
+when the output is narrower than the input, as DINO's r_Q x r_M Jacobian is.
 
 One combinator, ``_penalty``, holds that pick and serves the penalty
 ||C_i - A_i^T J_i B_i||^2.  It reads A^T J B off the picked sweep and keeps
@@ -40,11 +41,9 @@ keeps its P_l too.  One rule per layer, ``_layer_pair``, reads the pair the
 value-loss backward pass consumes off the two sides: dW_l = P_l T_{l-1}^T
 and d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l), identity seeds included.
 
-A loss reads its samples from a ``datagen.Dataset``: one container holds
-generated sets, mini-batches and latent sets, and ``loss_set`` is the one
-rule for what a loss reads: a reduced-basis model's loss always reads a
-latent set from ``datagen.reduce_dataset``, the one place that projects
-samples onto the bases.
+A loss reads its samples from a ``datagen.Dataset``, and ``loss_set`` is
+the one rule for what it reads: a reduced-basis model's loss reads a latent
+set from ``datagen.reduce_dataset``, the one projection onto the bases.
 """
 
 from collections import deque
@@ -59,22 +58,29 @@ from .bases import ReducedBasisPair
 
 # --- activations -------------------------------------------------------------
 
-def _softplus(A):
-    """Softplus, d1 = expit(A) and d2/d1 = expit(-A), from one e = exp(-|A|):
-    log(1 + e^A) = max(A, 0) + log1p(e), and d1 and d2/d1 are 1 or e over
-    1 + e."""
-    e = np.exp(-np.abs(A))
-    pos, e1 = A >= 0, 1.0 + e
-    return (np.maximum(A, 0.0) + np.log1p(e), np.where(pos, 1.0, e) / e1,
-            np.where(pos, e, 1.0) / e1)
+def _softplus(A, reads):
+    """Softplus over A in place, then d1 = expit(A) and d2/d1 = expit(-A),
+    the first ``reads`` of the three, from one e = exp(-|A|): log(1 + e^A) =
+    max(A, 0) + log1p(e), and d1 and d2/d1 are 1 or e over 1 + e."""
+    e = np.abs(A)
+    np.exp(np.negative(e, out=e), out=e)
+    nums = [cmp(A, 0.0, out=np.empty_like(A))
+            for cmp in (np.greater_equal, np.less)[:reads - 1]]
+    for num in nums:  # max(A >= 0, e) and max(A < 0, e): 1 or e
+        np.maximum(num, e, out=num)
+    np.maximum(A, 0.0, out=A)
+    A += np.log1p(e, out=None if nums else e)
+    e += 1.0
+    return (A, *(np.divide(num, e, out=num) for num in nums))
 
 
 _ACTIVATIONS = {
-    # A -> (value, first derivative d1, ratio d2/d1 of second to first
-    # derivative); d2/d1 is finite everywhere, so the tape need not keep
-    # W_l T_{l-1}
+    # (A, reads) -> the first ``reads`` of (value over A, derivative d1, ratio
+    # d2/d1 of second to first derivative); d2/d1 is finite, so the tape need
+    # not keep W_l T_{l-1}
     "softplus": _softplus,
-    "linear": lambda A: (A, np.ones_like(A), np.zeros_like(A)),
+    "linear": lambda A, reads: (A, *(np.full_like(A, c)
+                                     for c in (1.0, 0.0)[:reads - 1])),
 }
 
 
@@ -193,20 +199,16 @@ class OperatorModel:
                              bases=self.bases)
 
 
-def _mlp_forward(weights, X):
-    """Forward pass with tape: returns (zs, d1s, ratios) lists over layers,
-    ``ratios`` holding d2/d1 of each activation."""
-    spec = weights.spec
-    zs = [X]
-    d1s, ratios = [], []
-    for (W, b), act_name in zip(weights.layers(), spec.activations):
-        A = zs[-1] @ W.T
+def _mlp_forward(weights, X, reads):
+    """Forward pass with tape: the first ``reads`` of the lists (zs, d1s,
+    ratios) over layers, ``ratios`` holding d2/d1 of each activation."""
+    tape = ([X], [], [])[:reads]
+    for (W, b), act_name in zip(weights.layers(), weights.spec.activations):
+        A = tape[0][-1] @ W.T
         A += b
-        value, d1, ratio = _ACTIVATIONS[act_name](A)
-        zs.append(value)
-        d1s.append(d1)
-        ratios.append(ratio)
-    return zs, d1s, ratios
+        for field, x in zip(tape, _ACTIVATIONS[act_name](A, reads)):
+            field.append(x)
+    return tape
 
 
 def forward(model, m):
@@ -216,7 +218,7 @@ def forward(model, m):
         raise ValueError(f"input dim {M.shape[1]} != d_M = {model.d_m}")
     if model.kind == "reduced_basis":
         M = M @ model.bases.psi
-    out = _mlp_forward(model.weights, M)[0][-1]
+    out = _mlp_forward(model.weights, M, 1)[0][-1]
     if model.kind == "reduced_basis":
         out = out @ model.bases.phi.T + model.bases.b
     return out[0] if np.ndim(m) == 1 else out
@@ -233,6 +235,21 @@ class FlopCounter:
 
 PENALTY_FLOPS = FlopCounter()
 _BLOCK_ROWS = 8  # rows per block of a Jacobian read-off's sweeps
+# rows per GEMM block of a sweep and per K-block of a weight gradient: a
+# constant, so the bits depend on the data alone; at width 50, OpenBLAS
+# 0.3.31 runs 400 rows on its faster small-matrix kernel, on one thread
+_SWEEP_ROWS = 400
+
+
+def _sweep_times(X, W):
+    """X @ W of a C-contiguous (cols, n, width) X, _SWEEP_ROWS rows a GEMM."""
+    X2 = X.reshape(-1, len(W))
+    if len(X2) <= _SWEEP_ROWS:  # one block: skip the loop's call overhead
+        return (X2 @ W).reshape(*X.shape[:2], W.shape[1])
+    out = np.empty((len(X2), W.shape[1]))
+    for k in range(0, len(X2), _SWEEP_ROWS):
+        np.matmul(X2[k:k + _SWEEP_ROWS], W, out=out[k:k + _SWEEP_ROWS])
+    return out.reshape(*X.shape[:2], W.shape[1])
 
 
 def _tangent_tape(layers, d1s, T, flops):
@@ -240,8 +257,8 @@ def _tangent_tape(layers, d1s, T, flops):
 
     ``T`` is T_0 laid out (cols, n, n_0), or None for the identity
     (cols = n_0).  Yields T_l = d1_l * (W_l T_{l-1}) for l = 1..L, each
-    (cols, n, n_l), C-contiguous and one GEMM of (cols * n, n_{l-1}) by
-    W_l^T.  Multiplies are added to the FlopCounter ``flops``.
+    (cols, n, n_l), C-contiguous and one blocked GEMM of (cols * n, n_{l-1})
+    by W_l^T.  Multiplies are added to the FlopCounter ``flops``.
     """
     for (W, _), d1 in zip(layers, d1s):
         if T is None:
@@ -249,8 +266,7 @@ def _tangent_tape(layers, d1s, T, flops):
             T = np.multiply(W.T[:, None, :], d1, order="C")
         else:
             # a contiguous W_l^T: OpenBLAS runs the NN product faster
-            T = (T.reshape(-1, W.shape[1]) @ np.ascontiguousarray(W.T)
-                 ).reshape(*T.shape[:2], len(W))
+            T = _sweep_times(T, np.ascontiguousarray(W.T))
             T *= d1
             flops.count += W.shape[1] * T.size
         flops.count += T.size
@@ -262,11 +278,11 @@ def _adjoint_sweep(layers, d1s, Q, flops):
 
     ``Q`` is Q_L laid out (rows, n, n_L), or None for the identity
     (rows = n_L).  Yields (Q_l, P_l) for l = L..1 and then (Q_0, None), with
-    P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, one GEMM of (rows * n, n_l) by
-    W_l; each is (rows, n, width) and C-contiguous past the seed, and
-    Q_0[:, i] is A_i^T J(m_i).  An identity seed yields (None, None) for
-    Q_L = I and P_L = diag(d1_L).  Each pull forms only the arrays it
-    yields, and their multiplies are added to the FlopCounter ``flops``.
+    P_l = d1_l * Q_l and Q_{l-1} = W_l^T P_l, one blocked GEMM of
+    (rows * n, n_l) by W_l; each is (rows, n, width) and C-contiguous past
+    the seed, and Q_0[:, i] is A_i^T J(m_i).  An identity seed yields
+    (None, None) for Q_L = I and P_L = diag(d1_L).  Each pull forms only the
+    arrays it yields, and their multiplies are added to ``flops``.
     """
     P = None
     for (W, _), d1 in zip(layers[::-1], d1s[::-1]):
@@ -279,7 +295,7 @@ def _adjoint_sweep(layers, d1s, Q, flops):
             Q = np.multiply(d1.T[:, :, None], W[:, None, :], order="C")
             flops.count += Q.size
         else:
-            Q = (P.reshape(-1, len(W)) @ W).reshape(*P.shape[:2], W.shape[1])
+            Q = _sweep_times(P, W)
             flops.count += W.shape[1] * P.size
     yield Q, None
 
@@ -298,7 +314,7 @@ def parametric_jacobian(model, m):
     if model.kind == "reduced_basis":
         X = X @ model.bases.psi
     d1s = [d1.reshape(-1, d1.shape[2])[:n]
-           for d1 in _mlp_forward(model.weights, X)[1]]
+           for d1 in _mlp_forward(model.weights, X, 2)[1]]
     J = np.empty((n, model.spec.d_out, model.spec.d_in))
     for k in range(0, n, _BLOCK_ROWS):
         b = slice(k, k + _BLOCK_ROWS)
@@ -388,37 +404,35 @@ def _penalty_terms(model, batch, cfg, ms_idx):
     if variant == "h1_full":
         return None, None, (U * sigma[:, None, :]) @ V.transpose(0, 2, 1), None
     if variant == "h1_truncated":
-        A, B = U, V
-        C = sigma[:, :, None] * np.eye(sigma.shape[1])
-        wgt = None
-    elif variant == "h1_truncated_ms":
-        if ms_idx is None:
-            raise ValueError("h1_truncated_ms needs subsampled indices")
-        r = sigma.shape[1]
-        ridx, cidx = (np.asarray(i, dtype=np.intp) for i in ms_idx)
-        if min(ridx.min(), cidx.min()) < 0 or max(ridx.max(), cidx.max()) >= r:
-            raise ValueError(f"subsample indices must lie in [0, {r})")
-        A, B = U[:, :, ridx], V[:, :, cidx]
-        C = _ms_target(sigma, ridx, cidx)
-        wgt = _ms_weight(r, ridx, cidx, cfg.ms_mode) \
-            if cfg.ms_rescale else None
-    else:
+        return U, V, sigma[:, :, None] * np.eye(sigma.shape[1]), None
+    if variant != "h1_truncated_ms":
         raise ValueError(f"unknown loss variant {variant!r}")
-    return A, B, C, wgt
+    if ms_idx is None:
+        raise ValueError("h1_truncated_ms needs subsampled indices")
+    r = sigma.shape[1]
+    ridx, cidx = (np.asarray(i, dtype=np.intp) for i in ms_idx)
+    if min(ridx.min(), cidx.min()) < 0 or max(ridx.max(), cidx.max()) >= r:
+        raise ValueError(f"subsample indices must lie in [0, {r})")
+    wgt = _ms_weight(r, ridx, cidx, cfg.ms_mode) if cfg.ms_rescale else None
+    return U[:, :, ridx], V[:, :, cidx], _ms_target(sigma, ridx, cidx), wgt
 
 
 def _layer_pair(W, d1, ratio, T_prev, T, Q, P):
-    """One layer's (dW_l, d2-seed_l) off (cols, n, width) arrays:
-    dW_l = P_l T_{l-1}^T, one GEMM over the two leading axes, and
-    d2-seed_l = (d2/d1)_l * sum_c(Q_l * T_l).  ``T_prev`` None is T_0 = I.
-    ``Q`` None is Q_L = I, so P_L = diag(d1_L), and only the diagonal of
-    T_L is read, as d1_L * (W_L T_{L-1}): T_L is never formed."""
+    """One layer's (dW_l, d2-seed_l) off (cols, n, width) arrays: dW_l =
+    P_l T_{l-1}^T summed over the leading axes in K-blocks, and d2-seed_l =
+    (d2/d1)_l * sum_c(Q_l * T_l).  ``T_prev`` None is T_0 = I.  ``Q`` None
+    is Q_L = I, so P_L = diag(d1_L), and only the diagonal of T_L is read,
+    as d1_L * (W_L T_{L-1}): T_L is never formed."""
     if Q is None:
         return (np.einsum("bo,obk->ok", d1, T_prev),
                 ratio * d1 * np.einsum("ok,obk->bo", W, T_prev))
     seed = ratio * np.einsum("cbw,cbw->bw", Q, T)
-    gW = P.sum(axis=1).T if T_prev is None \
-        else P.reshape(-1, P.shape[2]).T @ T_prev.reshape(-1, T_prev.shape[2])
+    if T_prev is None:
+        return P.sum(axis=1).T, seed
+    P, T_prev = P.reshape(-1, P.shape[2]), T_prev.reshape(-1, T_prev.shape[2])
+    gW = P[:_SWEEP_ROWS].T @ T_prev[:_SWEEP_ROWS]
+    for k in range(_SWEEP_ROWS, len(P), _SWEEP_ROWS):  # the K-blocks, in order
+        gW += P[k:k + _SWEEP_ROWS].T @ T_prev[k:k + _SWEEP_ROWS]
     return gW, seed
 
 
@@ -492,7 +506,8 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     d_in = batch.m.shape[1]
     if d_in != weights.spec.d_in:
         raise ValueError(f"input dim {d_in} != {weights.spec.d_in}")
-    zs, d1s, ratios = _mlp_forward(weights, batch.m)
+    tape = _mlp_forward(weights, batch.m, 2 if cfg.variant == "l2" else 3)
+    zs, d1s = tape[:2]
 
     res = zs[-1] - batch.q
     seed = (2.0 / nbatch) * res
@@ -501,7 +516,7 @@ def loss_and_grad(model, batch, cfg, ms_idx=None):
     pairs = None  # per-layer (dW, d2-seed) of the penalty
     if cfg.variant != "l2":
         A, B, C, wgt = _penalty_terms(model, batch, cfg, ms_idx)
-        S, penalty_pairs = _penalty(layers, d1s, ratios, A, B, PENALTY_FLOPS)
+        S, penalty_pairs = _penalty(layers, d1s, tape[2], A, B, PENALTY_FLOPS)
         E = S - C
         wE = E if wgt is None else wgt * E
         PENALTY_FLOPS.count += E.size * (1 if wgt is None else 2)

@@ -160,13 +160,14 @@ def dense_state_jacobian(model, u, m):
 
 
 # Generates the 4-sample dataset ``ds`` of an RD problem (argv: grid nodes
-# per side, sensors per side, rank); a caller appends lines that print hashes.
+# per side, sensors per side, rank, then the caller's own words); a caller
+# appends lines that print hashes.
 BLAS_HASH_SETUP = """
 import hashlib, sys
 from derivop.datagen import generate_dataset
 from derivop.models import (Grid, PriorConfig, RDModel,
                             lower_half_observation_nodes)
-n, per_side, rank = map(int, sys.argv[1:])
+n, per_side, rank = map(int, sys.argv[1:4])
 grid = Grid(n)
 model = RDModel(grid=grid,
                 obs_nodes=lower_half_observation_nodes(grid, per_side))
@@ -175,10 +176,10 @@ ds = generate_dataset(model, prior, 4, rank=rank, seed=7)
 """
 
 
-def hashes_under_blas_threads(script, n, per_side, rank):
+def hashes_under_blas_threads(script, n, per_side, rank, *args):
     """Printed words of BLAS_HASH_SETUP + ``script`` under 1 and 2 BLAS
     threads, one process each: OpenBLAS reads its thread count when it
-    loads."""
+    loads.  ``args`` (paths, say) follow the three integers in argv."""
     src = str(Path(derivop.__file__).resolve().parents[1])
     words = []
     for threads in ("1", "2"):
@@ -187,7 +188,7 @@ def hashes_under_blas_threads(script, n, per_side, rank):
                    MKL_NUM_THREADS=threads)
         run = subprocess.run(
             [sys.executable, "-c", BLAS_HASH_SETUP + script, str(n),
-             str(per_side), str(rank)], env=env, capture_output=True,
-            text=True, check=True, timeout=300)
+             str(per_side), str(rank), *map(str, args)], env=env,
+            capture_output=True, text=True, check=True, timeout=300)
         words.append(run.stdout.split())
     return words

@@ -28,10 +28,12 @@ from derivop.netop import (
     NetworkWeights,
     OperatorModel,
     _adjoint_sweep,
+    _layer_pair,
     _mlp_forward,
     _ms_target,
     _ms_weight,
     _penalty,
+    _sweep_times,
     _tangent_tape,
     forward,
     full_space_jacobian,
@@ -144,14 +146,24 @@ class TestActivations:
 
     def test_softplus_matches_separate_passes(self):
         A = self.A
-        value, d1, ratio = _ACTIVATIONS["softplus"](A)
+        value, d1, ratio = _ACTIVATIONS["softplus"](A.copy(), 3)
         assert within_ulps(value, np.logaddexp(0.0, A), 4)
         assert within_ulps(d1, self.expit_ref(A), 4)
         assert within_ulps(ratio, self.expit_ref(-A), 4)
 
+    @pytest.mark.parametrize("reads", [1, 2, 3])
+    def test_softplus_forms_what_is_read(self, reads):
+        # the value is written over A, and fewer reads keep the bits
+        A = self.A.copy()
+        got = _ACTIVATIONS["softplus"](A, reads)
+        assert len(got) == reads and got[0] is A
+        full = _ACTIVATIONS["softplus"](self.A.copy(), 3)
+        for field, want in zip(got, full):
+            np.testing.assert_array_equal(field, want)
+
     def test_linear_is_exact(self):
         A = self.A.reshape(2, -1)
-        value, d1, ratio = _ACTIVATIONS["linear"](A)
+        value, d1, ratio = _ACTIVATIONS["linear"](A, 3)
         assert value is A
         np.testing.assert_array_equal(d1, np.ones_like(A))
         np.testing.assert_array_equal(ratio, np.zeros_like(A))
@@ -225,7 +237,7 @@ class TestJacobian:
         weights = NetworkWeights.init(spec)
         layers = weights.layers()
         n = 3
-        _, d1s, _ = _mlp_forward(weights, rng.standard_normal((n, widths[0])))
+        _, d1s = _mlp_forward(weights, rng.standard_normal((n, widths[0])), 2)
         A = rng.standard_normal((n, widths[-1], 2))
         B = rng.standard_normal((n, widths[0], 4))
         for a, b in ((None, None), (A, None), (None, B), (A, B)):
@@ -622,6 +634,104 @@ class TestBatchedTapeVsLoop:
                                        parametric_jacobian(model, M[i]),
                                        rtol=1e-13, atol=1e-15)
 
+    # The fixtures above carry at most 35 sweep rows, one 400-row block; with
+    # 7-row blocks both sweeps and the K-summed weight gradient run several,
+    # the last one partial (h1_full: 25 adjoint rows, h1_truncated: 20
+    # tangent rows, MS: 15).
+    @pytest.mark.parametrize("cfg", REFERENCE_CFGS[1:4], ids=_cfg_id)
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_multi_block_sweeps(self, cfg, kind, monkeypatch):
+        rows, real = [], netop._sweep_times
+        monkeypatch.setattr(netop, "_SWEEP_ROWS", 7)
+        monkeypatch.setattr(netop, "_sweep_times", lambda X, W: rows.append(
+            X.shape[0] * X.shape[1]) or real(X, W))
+        rng = np.random.default_rng(12)
+        model = make_generic(7, 5, (6, 4), seed=2) if kind == "generic" \
+            else make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 5, rng, exact=False, rank=4)
+        ms_idx = _ms_draw(cfg, 4, rng)
+        loss, grad = loop_loss_and_grad(model, batch, cfg, ms_idx=ms_idx)
+        if kind == "reduced_basis":
+            loss -= off_phi_misfit(model, batch)
+        assert_matches_reference(
+            loss_and_grad(model, batch, cfg, ms_idx=ms_idx), (loss, grad))
+        assert min(rows) > 7 and any(r % 7 for r in rows)
+
+
+class TestSweepBlocks:
+    """Sweep GEMMs and weight-gradient K-sums run in fixed blocks of
+    netop._SWEEP_ROWS = 400 rows, so no BLAS choice can change their bits."""
+
+    @staticmethod
+    def arrays(cols, seed):
+        # X, Q and P laid out (cols, 25, 50), and a 50 x 50 W
+        rng = np.random.default_rng(seed)
+        return (*rng.standard_normal((3, cols, 25, 50)),
+                rng.standard_normal((50, 50)))
+
+    @pytest.mark.parametrize("cols", [1, 8, 16])  # 25, 200 and 400 rows
+    def test_one_block_is_the_flat_product(self, cols):
+        X, Q, P, W = self.arrays(cols, 31)
+        np.testing.assert_array_equal(
+            _sweep_times(X, W),
+            (X.reshape(-1, 50) @ W).reshape(cols, 25, 50))
+        gW, _ = _layer_pair(W, None, np.ones((25, 50)), X, Q, Q, P)
+        np.testing.assert_array_equal(
+            gW, P.reshape(-1, 50).T @ X.reshape(-1, 50))
+
+    def test_blocks_in_index_order(self):
+        X, Q, P, W = self.arrays(41, 32)  # 1025 rows: 400, 400 and 225
+        X2, P2 = X.reshape(-1, 50), P.reshape(-1, 50)
+        blocks = [slice(0, 400), slice(400, 800), slice(800, None)]
+        np.testing.assert_array_equal(
+            _sweep_times(X, W).reshape(-1, 50),
+            np.concatenate([X2[b] @ W for b in blocks]))
+        gW, _ = _layer_pair(W, None, np.ones((25, 50)), X, Q, Q, P)
+        first, second, last = (P2[b].T @ X2[b] for b in blocks)
+        np.testing.assert_array_equal(gW, (first + second) + last)
+
+
+class TestTapePerReader:
+    """The forward tape forms only what its reader reads, and each reader
+    keeps the bits it gets off the full tape of every field."""
+
+    @staticmethod
+    def reads(model, batch):
+        ms_idx = (np.arange(2), np.array([1, 3]))
+        return [forward(model, batch.m), parametric_jacobian(model, batch.m),
+                *(x for cfg in ALL_CFGS
+                  for x in loss_and_grad(model, batch, cfg, ms_idx=ms_idx))]
+
+    @pytest.mark.parametrize("kind", ["generic", "reduced_basis"])
+    def test_readers_keep_the_bits(self, kind, monkeypatch):
+        rng = np.random.default_rng(33)
+        model = make_generic(7, 5, (6, 4), seed=2) if kind == "generic" \
+            else make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = batch_from_model(model, 16, rng, exact=False, rank=4)
+        lean = self.reads(model, batch)
+        real = netop._mlp_forward
+        monkeypatch.setattr(netop, "_mlp_forward",
+                            lambda w, X, reads: real(w, X, 3)[:reads])
+        for got, full in zip(lean, self.reads(model, batch), strict=True):
+            np.testing.assert_array_equal(got, full)
+
+    def test_each_reader_reads_its_fields(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        model = make_reduced(7, 5, 5, 4, (6, 4), rng, seed=2)
+        batch = reduce_dataset(batch_from_model(model, 3, rng, exact=False),
+                               model.bases, True)
+        seen, real = [], netop._mlp_forward
+        monkeypatch.setattr(netop, "_mlp_forward", lambda w, X, reads: (
+            seen.append(reads) or real(w, X, reads)))
+        M = rng.standard_normal((3, 7))
+        forward(model, M)
+        parametric_jacobian(model, M)
+        for cfg in ALL_CFGS[:2]:
+            loss_and_grad(model, batch, cfg)
+        assert seen == [1, 2, 2, 3]
+        assert [len(field) for field in real(model.weights, batch.m, 2)] \
+            == [4, 3]
+
 
 class TestLossSet:
     """``loss_set`` is the one rule for what a loss reads of a set."""
@@ -709,9 +819,9 @@ class TestOneTapeReadOff:
         M = np.random.default_rng(27).standard_normal((n, net.d_m))
         calls = []
 
-        def counted(weights, X, _real=netop._mlp_forward):
+        def counted(weights, X, reads, _real=netop._mlp_forward):
             calls.append(X.shape)
-            return _real(weights, X)
+            return _real(weights, X, reads)
 
         monkeypatch.setattr(netop, "_mlp_forward", counted)
         J = parametric_jacobian(net, M)
@@ -852,7 +962,7 @@ class TestLazySweeps:
         spec = MLPSpec(widths=self.WIDTHS, activations=("softplus",) * 3)
         weights = NetworkWeights.init(spec)
         _, d1s, ratios = _mlp_forward(weights,
-                                      rng.standard_normal((n, spec.d_in)))
+                                      rng.standard_normal((n, spec.d_in)), 3)
         return weights.layers(), d1s, ratios, rng
 
     @pytest.mark.parametrize("identity", [False, True],

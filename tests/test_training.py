@@ -7,15 +7,27 @@ import pytest
 from reference import (
     criterion_4_case,
     fitted_sample,
+    hashes_under_blas_threads,
     ms_enumeration_errors,
     ms_losses,
     random_orthonormal,
 )
 
 from derivop import datagen, netop, training
-from derivop.bases import derivative_informed_bases
-from derivop.datagen import Dataset, generate_dataset, reduce_dataset
-from derivop.models import ToyMap
+from derivop.bases import derivative_informed_bases, save_bases
+from derivop.datagen import (
+    Dataset,
+    generate_dataset,
+    reduce_dataset,
+    save_dataset,
+)
+from derivop.models import (
+    Grid,
+    PriorConfig,
+    RDModel,
+    ToyMap,
+    lower_half_observation_nodes,
+)
 from derivop.netop import (
     MLPSpec,
     NetworkWeights,
@@ -428,3 +440,39 @@ class TestTrain:
         assert len(calls) == 2
         expected, _ = loss_and_grad(out, reduce_dataset(holdout, bases, True), cfg)
         assert hist.holdout_loss[-1] == pytest.approx(expected, rel=1e-12)
+
+
+# Trains the study's dipnet for 2 epochs of each loss at batch 32 on a saved
+# set and saved bases (argv words 4 and 5), printing each weight hash.
+TRAIN_HASH_SCRIPT = """
+from derivop.bases import load_bases
+from derivop.datagen import load_dataset
+from derivop.netop import MLPSpec, NetworkWeights, OperatorModel
+from derivop.training import LossConfig, train
+data, pair = load_dataset(sys.argv[4]), load_bases(sys.argv[5])
+spec = MLPSpec.dense((50,) + (50,) * 6 + (25,), init_seed=1)
+net = OperatorModel("reduced_basis", spec, NetworkWeights.init(spec), pair)
+for cfg in (LossConfig("l2"), LossConfig("h1_full"),
+            LossConfig("h1_truncated"), LossConfig("h1_truncated_ms", k=10)):
+    trained, _ = train(data, net, cfg, epochs=2, batch_size=32, seed=3)
+    flat = trained.weights.flat.tobytes()
+    print(cfg.variant, hashlib.sha256(flat).hexdigest())
+"""
+
+
+def test_training_invariant_to_blas_threads(tmp_path):
+    # At batch 32 the penalty sweeps carry 25 x 32 = 800 rows, past one
+    # 400-row block.  Psi's eigensolve (dsyevr) differs under 2 BLAS
+    # threads, so the bases are built once, here, and both processes load
+    # them.
+    grid = Grid(17)
+    model = RDModel(grid=grid, obs_nodes=lower_half_observation_nodes(grid, 5))
+    prior = PriorConfig(delta=1.0, gamma=0.1, grid=grid)
+    ds = generate_dataset(model, prior, 64, rank=25, seed=11)
+    save_dataset(ds, tmp_path / "set")
+    save_bases(derivative_informed_bases(ds, rank_in=50, rank_out=25),
+               tmp_path / "bases")
+    one, two = hashes_under_blas_threads(TRAIN_HASH_SCRIPT, 17, 5, 25,
+                                         tmp_path / "set", tmp_path / "bases")
+    assert len(one) == 8
+    assert one == two
